@@ -17,6 +17,7 @@ so the weak reading is satisfied.
 from hypervec import (
     FieldTag,
     ModelSpec,
+    SampleConfig,
     Sign,
     ZeroAugmented,
     check_normal_equivalence,
@@ -26,8 +27,9 @@ from hypervec import (
 
 sign = ModelSpec(FieldTag.Q, 2, Sign())
 
-weak = check_weak_normal(sign)
-strong = check_strong_normal(sign)
+cfg = SampleConfig()
+weak = check_weak_normal(sign, cfg)
+strong = check_strong_normal(sign, cfg)
 print("sign, weak reading  :", [f"{i.id}={i.status}" for i in weak.items])
 print("sign, strong reading:", [f"{i.id}={i.status}" for i in strong.items])
 print()
@@ -39,8 +41,8 @@ for key, value in witness.bindings.items():
 print("   ", witness.relation)
 print()
 
-# the combined report flags the disagreement explicitly
-equiv = check_normal_equivalence(sign)
+# the combined report compares the two and flags the disagreement
+equiv = check_normal_equivalence(sign, cfg, weak, strong)
 flag = equiv.item("readings_agree")
 print("readings_agree:", flag.status)
 print(flag.witnesses[0].relation)
@@ -48,5 +50,7 @@ print()
 
 # families with singleton essential sets cannot tell the readings apart
 za = ModelSpec(FieldTag.Q, 2, ZeroAugmented())
-assert check_normal_equivalence(za).all_passed
+za_weak = check_weak_normal(za, cfg)
+za_strong = check_strong_normal(za, cfg)
+assert check_normal_equivalence(za, cfg, za_weak, za_strong).all_passed
 print("zero_augmented: both readings pass, nothing to disagree about")

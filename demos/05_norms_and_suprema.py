@@ -16,12 +16,13 @@ from hypervec import (
     FieldTag,
     Geometric,
     ModelSpec,
+    SampleConfig,
     UnboundedSupremumError,
     ZeroAugmented,
-    check_norm_props,
     leq_sqrt_product,
     make_vector,
     norm_sq,
+    run_suites,
     sup_pairing,
 )
 
@@ -52,9 +53,11 @@ print("8 <= sqrt(5 * 10)?", leq_sqrt_product(Fraction(8), Fraction(5), Fraction(
 print()
 
 # the norm suite needs the pointwise pairing axioms as a precondition;
+# the runner checks them first and hands their report to it.
 # zero_augmented has them, so its squared-norm laws all pass at scale
+cfg = SampleConfig()
 za = ModelSpec(FieldTag.Q, 2, ZeroAugmented())
-report = check_norm_props(za, dot)
+(report,) = run_suites(za, dot, cfg, ["norm_props"])
 print("zero_augmented norm suite:")
 for item in report.items:
     print(f"    [{item.status}] {item.id}  ({item.samples} samples)")
@@ -62,7 +65,7 @@ print()
 
 # on the growing ray the sup of squared norms over a o x diverges,
 # and the report says so rather than inventing a value
-report = check_norm_props(grow, dot)
+(report,) = run_suites(grow, dot, cfg, ["norm_props"])
 item = report.item("sup_scaling")
 print("geometric(2) norm sup:", item.status)
 print("   ", item.witnesses[0].relation)

@@ -7,29 +7,40 @@ the same config produce byte-identical reports on any platform.
 
 from __future__ import annotations
 
+import importlib
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .scalars import FieldTag, GaussianRational, Scalar
-from .vectors import Vector, make_vector, unit_vector, zero_vector
+from .vectors import Vector, unit_vector, zero_vector
 
 _MASK64 = (1 << 64) - 1
 
+# Every suite: the module of its check function, the function's name,
+# and the suites whose reports it reads. A check function takes
+# (model, cfg), or (model, ip, cfg) in `inner`, followed by one report
+# per suite it reads, in the order listed here.
+SUITES = {
+    "wvs_axioms": ("models", "check_wvs_axioms", ()),
+    "lemma_basic": ("essential", "check_lemma_basic", ("strong_normal",)),
+    "weak_normal": ("essential", "check_weak_normal", ()),
+    "strong_normal": ("essential", "check_strong_normal", ()),
+    "normal_equiv": (
+        "essential",
+        "check_normal_equivalence",
+        ("weak_normal", "strong_normal"),
+    ),
+    "real_ip": ("inner", "check_real_ip_axioms", ()),
+    "hip": ("inner", "check_hip_axioms", ()),
+    "lemma_34": ("inner", "check_lemma_34", ("hip",)),
+    "theorem_normal": ("inner", "check_theorem_normal", ("hip", "strong_normal")),
+    "norm_props": ("inner", "check_norm_props", ("hip",)),
+}
+
 # Suite vocabulary; also the identifiers accepted by `check` directives.
-SUITE_NAMES = (
-    "wvs_axioms",
-    "lemma_basic",
-    "weak_normal",
-    "strong_normal",
-    "normal_equiv",
-    "real_ip",
-    "hip",
-    "lemma_34",
-    "theorem_normal",
-    "norm_props",
-)
+SUITE_NAMES = tuple(SUITES)
 
 # Per-item witness lists are truncated to this many entries, kept in
 # evaluation order (forced degenerate tuples come first, so the classic
@@ -204,6 +215,17 @@ def vacuous_report(
     )
 
 
+def mirror_item(item_id: str, anchor: str, source: CheckReport) -> CheckItem:
+    """One item summing up a whole report: pass only if all its items
+    passed, the largest sample count, and the first witnesses."""
+    witnesses: list[Witness] = []
+    for it in source.items:
+        witnesses.extend(it.witnesses)
+    status = "pass" if source.all_passed else "fail"
+    samples = max((it.samples for it in source.items), default=0)
+    return CheckItem(item_id, anchor, status, samples, witnesses[:MAX_WITNESSES])
+
+
 def _rand_fraction(rng: SplitMix64, height: int) -> Fraction:
     num = rng.below(2 * height + 1) - height
     den = rng.below(height) + 1
@@ -276,54 +298,39 @@ def sample_stream(
         count += 1
 
 
-def run_suites(model, ip, cfg: SampleConfig, suites: list[str]) -> list[CheckReport]:
+def run_suites(
+    model, ip, cfg: SampleConfig, suites: list[str], memo: dict | None = None
+) -> list[CheckReport]:
     """Run the named suites in order and return one report per suite.
+
+    Each suite's dependencies (see SUITES) run first and are handed to
+    it. Every report is kept in memo, so one report per suite, model,
+    inner product and config is computed however many suites read it;
+    pass the same memo to calls that belong to one run.
 
     Suites whose precondition fails (complex field for real_ip, missing
     or failed hyperinner axioms for the derived suites) are reported
     with vacuous items, never silently skipped.
     """
-    # imported here: these modules sit above this one in the layering
-    from . import essential as ess
-    from . import inner as inn
-    from . import models as mdl
-
     for name in suites:
-        if name not in SUITE_NAMES:
+        if name not in SUITES:
             raise ValueError(f"unknown suite: {name!r}")
+    memo = {} if memo is None else memo
+    return [_run_suite(name, model, ip, cfg, memo) for name in suites]
 
-    hip_cache: list[CheckReport | None] = [None]
 
-    def hip_report() -> CheckReport:
-        if hip_cache[0] is None:
-            hip_cache[0] = inn.check_hip_axioms(model, ip, cfg)
-        return hip_cache[0]
-
-    out: list[CheckReport] = []
-    for name in suites:
-        if name == "wvs_axioms":
-            out.append(mdl.check_wvs_axioms(model, cfg))
-        elif name == "lemma_basic":
-            out.append(ess.check_lemma_basic(model, cfg))
-        elif name == "weak_normal":
-            out.append(ess.check_weak_normal(model, cfg))
-        elif name == "strong_normal":
-            out.append(ess.check_strong_normal(model, cfg))
-        elif name == "normal_equiv":
-            out.append(ess.check_normal_equivalence(model, cfg))
-        elif name == "real_ip":
-            out.append(inn.check_real_ip_axioms(model, ip, cfg))
-        elif name == "hip":
-            out.append(hip_report())
-        elif name == "lemma_34":
-            out.append(inn.check_lemma_34(model, ip, cfg, hip_report=hip_report()))
-        elif name == "theorem_normal":
-            out.append(
-                inn.check_theorem_normal(model, ip, cfg, hip_report=hip_report())
-            )
-        elif name == "norm_props":
-            out.append(inn.check_norm_props(model, ip, cfg, hip_report=hip_report()))
-    return out
+def _run_suite(name: str, model, ip, cfg: SampleConfig, memo: dict) -> CheckReport:
+    key = (name, model, ip, cfg)
+    if key not in memo:
+        module, function, reads = SUITES[name]
+        # looked up at call time: these modules sit above this one in the
+        # layering, and a module attribute replaced by a tracer or a test
+        # must take effect
+        check = getattr(importlib.import_module(f"{__package__}.{module}"), function)
+        args = (model, ip, cfg) if module == "inner" else (model, cfg)
+        deps = [_run_suite(dep, model, ip, cfg, memo) for dep in reads]
+        memo[key] = check(*args, *deps)
+    return memo[key]
 
 
 def report_document(model_desc: str, seed: int, reports: list[CheckReport]) -> dict:

@@ -73,9 +73,10 @@ def _print_report(report: CheckReport, out: IO[str]) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     mf = _load_model_file(args.file)
     reports: list[CheckReport] = []
+    memo: dict = {}  # shared by the directives, so no report is computed twice
     for directive in mf.checks:
         cfg = _effective_config(directive.params, args)
-        reports.extend(run_suites(mf.model, mf.inner, cfg, [directive.suite]))
+        reports.extend(run_suites(mf.model, mf.inner, cfg, [directive.suite], memo))
     if not mf.checks:
         print("nothing to run: the file declares no check directives")
     for report in reports:

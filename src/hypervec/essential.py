@@ -9,8 +9,8 @@ normality readings below.
 check_weak_normal asks only that the sumset of two essential sets meets
 the target essential set. check_strong_normal asks that every choice of
 summands lands in the target and, when all sets are complete, that the
-target holds nothing else. check_normal_equivalence runs both and flags
-models where the readings disagree.
+target holds nothing else. check_normal_equivalence compares the two
+reports and flags models where the readings disagree.
 """
 
 from __future__ import annotations
@@ -21,17 +21,15 @@ from .checker import (
     CheckItem,
     CheckReport,
     ItemCheck,
-    MAX_WITNESSES,
     SampleConfig,
     Witness,
+    mirror_item,
     sample_stream,
 )
 from .models import (
     FiniteSet,
     GeometricRay,
-    HyperSet,
     ModelSpec,
-    SignPair,
     contains,
     describe_set,
     enumerate_set,
@@ -92,8 +90,6 @@ def essential_points(
     s = product(model, a, x)
     if isinstance(s, FiniteSet):
         candidates, complete = list(s.elements), True
-    elif isinstance(s, SignPair):
-        candidates, complete = [s.base, -s.base], True
     elif isinstance(s, GeometricRay):
         if closed_form:
             candidates, complete = [s.base], True
@@ -106,23 +102,27 @@ def essential_points(
     return EssentialSet(tuple(sorted(set(points), key=vector_key)), complete)
 
 
-def _essential_witness_fields(model: ModelSpec, pairs: list[tuple[str, object]]):
+def _essential_witness_fields(pairs: list[tuple[str, object]]):
     out = {}
     for name, value in pairs:
         if isinstance(value, Vector):
             out[name] = str(value)
         elif isinstance(value, EssentialSet):
             out[name] = str(value)
-        elif isinstance(value, (FiniteSet, GeometricRay, SignPair)):
+        elif isinstance(value, (FiniteSet, GeometricRay)):
             out[name] = describe_set(value)
         else:
             out[name] = format_scalar(value)
     return out
 
 
-def check_lemma_basic(model: ModelSpec, cfg: SampleConfig | None = None) -> CheckReport:
-    """The five basic facts about essential sets, checked on samples."""
-    cfg = cfg or SampleConfig()
+def check_lemma_basic(
+    model: ModelSpec, cfg: SampleConfig, strong: CheckReport
+) -> CheckReport:
+    """The five basic facts about essential sets, checked on samples.
+
+    strong is the strong_normal report for the same model and config.
+    """
     one = model.admit_scalar(1)
 
     it_unit = ItemCheck("unit_essential", "x is an essential point of 1 o x")
@@ -140,7 +140,6 @@ def check_lemma_basic(model: ModelSpec, cfg: SampleConfig | None = None) -> Chec
         "if the all-choices reading holds, every essential set is a singleton",
     )
 
-    strong = check_strong_normal(model, cfg)
     strong_ok = strong.all_passed
 
     for a, b, x in sample_stream(cfg, model.field, model.dim, 2, 1):
@@ -151,7 +150,7 @@ def check_lemma_basic(model: ModelSpec, cfg: SampleConfig | None = None) -> Chec
             it_unit.sample(
                 [
                     Witness(
-                        _essential_witness_fields(model, [("x", x), ("E[1 o x]", e_unit)]),
+                        _essential_witness_fields([("x", x), ("E[1 o x]", e_unit)]),
                         "x is not an essential point of 1 o x",
                     )
                 ]
@@ -166,7 +165,6 @@ def check_lemma_basic(model: ModelSpec, cfg: SampleConfig | None = None) -> Chec
                     violations.append(
                         Witness(
                             _essential_witness_fields(
-                                model,
                                 [
                                     ("a", a),
                                     ("b", b),
@@ -191,7 +189,6 @@ def check_lemma_basic(model: ModelSpec, cfg: SampleConfig | None = None) -> Chec
                 [
                     Witness(
                         _essential_witness_fields(
-                            model,
                             [("a", a), ("x", x), ("E[a o x]", e_pos), ("E[(-a) o x]", e_neg)],
                         ),
                         "negating the essential set does not give the essential set of the negated scalar",
@@ -211,7 +208,7 @@ def check_lemma_basic(model: ModelSpec, cfg: SampleConfig | None = None) -> Chec
                     [
                         Witness(
                             _essential_witness_fields(
-                                model, [("a", a), ("x", x), ("E[a^-1 o x]", ys)]
+                                [("a", a), ("x", x), ("E[a^-1 o x]", ys)]
                             ),
                             "no essential choice y of a^-1 o x makes x essential in a o y",
                         )
@@ -219,15 +216,14 @@ def check_lemma_basic(model: ModelSpec, cfg: SampleConfig | None = None) -> Chec
                 )
 
         if strong_ok:
-            e_set = essential_points(model, a, x, cfg.depth)
-            if e_set.singleton:
+            if e_pos.singleton:
                 it_single.sample([])
             else:
                 it_single.sample(
                     [
                         Witness(
                             _essential_witness_fields(
-                                model, [("a", a), ("x", x), ("E[a o x]", e_set)]
+                                [("a", a), ("x", x), ("E[a o x]", e_pos)]
                             ),
                             "essential set is not a singleton although the all-choices reading holds",
                         )
@@ -275,7 +271,6 @@ def check_weak_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> Chec
                 [
                     Witness(
                         _essential_witness_fields(
-                            model,
                             [
                                 ("a1", a1),
                                 ("a2", a2),
@@ -290,10 +285,9 @@ def check_weak_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> Chec
                 ]
             )
 
-        f1 = essential_points(model, a1, v1, cfg.depth)
         f2 = essential_points(model, a1, v2, cfg.depth)
         target2 = essential_points(model, a1, v1 + v2, cfg.depth)
-        sums2 = {s for _, _, s in _sum_choices(f1, f2)}
+        sums2 = {s for _, _, s in _sum_choices(e1, f2)}
         if sums2 & set(target2.points):
             it_vector.sample([])
         else:
@@ -301,12 +295,11 @@ def check_weak_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> Chec
                 [
                     Witness(
                         _essential_witness_fields(
-                            model,
                             [
                                 ("a", a1),
                                 ("x1", v1),
                                 ("x2", v2),
-                                ("E[a o x1]", f1),
+                                ("E[a o x1]", e1),
                                 ("E[a o x2]", f2),
                                 ("E[a o (x1+x2)]", target2),
                             ],
@@ -322,7 +315,6 @@ def check_weak_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> Chec
 
 
 def _strong_violations(
-    model: ModelSpec,
     labels: tuple[str, str, str],
     values: tuple,
     e1: EssentialSet,
@@ -338,7 +330,6 @@ def _strong_violations(
             violations.append(
                 Witness(
                     _essential_witness_fields(
-                        model,
                         [
                             (l1, values[0]),
                             (l2, values[1]),
@@ -359,7 +350,6 @@ def _strong_violations(
                 violations.append(
                     Witness(
                         _essential_witness_fields(
-                            model,
                             [
                                 (l1, values[0]),
                                 (l2, values[1]),
@@ -396,14 +386,13 @@ def check_strong_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> Ch
         e2 = essential_points(model, a2, v1, cfg.depth)
         target = essential_points(model, a1 + a2, v1, cfg.depth)
         it_scalar.sample(
-            _strong_violations(model, ("a1", "a2", "x"), (a1, a2, v1), e1, e2, target)
+            _strong_violations(("a1", "a2", "x"), (a1, a2, v1), e1, e2, target)
         )
 
-        f1 = essential_points(model, a1, v1, cfg.depth)
         f2 = essential_points(model, a1, v2, cfg.depth)
         target2 = essential_points(model, a1, v1 + v2, cfg.depth)
         it_vector.sample(
-            _strong_violations(model, ("a", "x1", "x2"), (a1, v1, v2), f1, f2, target2)
+            _strong_violations(("a", "x1", "x2"), (a1, v1, v2), e1, f2, target2)
         )
 
     return CheckReport(
@@ -411,27 +400,16 @@ def check_strong_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> Ch
     )
 
 
-def _mirror_item(item_id: str, anchor: str, source: CheckReport) -> CheckItem:
-    witnesses: list[Witness] = []
-    for it in source.items:
-        witnesses.extend(it.witnesses)
-    status = "pass" if source.all_passed else "fail"
-    samples = max((it.samples for it in source.items), default=0)
-    return CheckItem(item_id, anchor, status, samples, witnesses[:MAX_WITNESSES])
-
-
 def check_normal_equivalence(
-    model: ModelSpec, cfg: SampleConfig | None = None
+    model: ModelSpec, cfg: SampleConfig, weak: CheckReport, strong: CheckReport
 ) -> CheckReport:
-    """Run both normality readings on the same samples and compare.
+    """Compare the weak_normal and strong_normal reports of one model,
+    which read the same samples.
 
     The summary item fails with the note "readings disagree" whenever
     one reading passes and the other does not; the witnesses of the
     failing reading are carried along.
     """
-    cfg = cfg or SampleConfig()
-    weak = check_weak_normal(model, cfg)
-    strong = check_strong_normal(model, cfg)
     weak_ok = weak.all_passed
     strong_ok = strong.all_passed
 
@@ -466,8 +444,8 @@ def check_normal_equivalence(
         model.describe(),
         "normal_equiv",
         [
-            _mirror_item("weak_normality", "sumset reading verdict", weak),
-            _mirror_item("strong_normality", "all-choices reading verdict", strong),
+            mirror_item("weak_normality", "sumset reading verdict", weak),
+            mirror_item("strong_normality", "all-choices reading verdict", strong),
             agree,
         ],
     )

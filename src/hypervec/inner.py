@@ -27,17 +27,16 @@ from .checker import (
     MAX_WITNESSES,
     SampleConfig,
     Witness,
+    mirror_item,
     sample_stream,
     vacuous_report,
 )
-from .essential import EssentialSet, check_strong_normal, essential_points
+from .essential import essential_points
 from .models import (
     FiniteSet,
-    GeometricRay,
     HyperSet,
     ModelError,
     ModelSpec,
-    SignPair,
     describe_set,
     enumerate_set,
     product,
@@ -54,7 +53,7 @@ from .scalars import (
     leq_sqrt_product,
     real_part,
 )
-from .vectors import Vector, vector_key
+from .vectors import Vector
 
 
 class UnboundedSupremumError(ArithmeticError):
@@ -140,7 +139,7 @@ def sup_pairing(
         raise ModelError("sup_pairing needs an inner product")
     y = model.admit_vector(y)
     s = product(model, a, x)
-    if isinstance(s, (FiniteSet, SignPair)):
+    if isinstance(s, FiniteSet):
         best: Fraction | None = None
         best_vec: Vector | None = None
         for u in enumerate_set(s, 1):
@@ -169,7 +168,7 @@ def _sup_norm_sq(ip: InnerProductSpec, s: HyperSet) -> tuple[Fraction, Vector]:
     Rays with ratio > 1 are unbounded (base is nonzero and the pairing
     is positive definite) and raise UnboundedSupremumError.
     """
-    if isinstance(s, (FiniteSet, SignPair)):
+    if isinstance(s, FiniteSet):
         best: Fraction | None = None
         best_vec: Vector | None = None
         for u in enumerate_set(s, 1):
@@ -196,7 +195,7 @@ def _ball_violation(
     first exceeding element is found by walking up (guaranteed to exist
     whenever the base has positive length).
     """
-    if isinstance(s, (FiniteSet, SignPair)):
+    if isinstance(s, FiniteSet):
         for u in enumerate_set(s, depth):
             if norm_sq(ip, u) > bound:
                 return u
@@ -496,15 +495,14 @@ def check_hip_axioms(
 def check_lemma_34(
     model: ModelSpec,
     ip: InnerProductSpec | None,
-    cfg: SampleConfig | None = None,
-    hip_report: CheckReport | None = None,
+    cfg: SampleConfig,
+    hip: CheckReport,
 ) -> CheckReport:
-    """Derived pairing identities; vacuous unless the hyperinner axioms held."""
-    cfg = cfg or SampleConfig()
+    """Derived pairing identities; vacuous unless the hyperinner axioms
+    held (hip is their report for the same model and config)."""
     if ip is None:
         return vacuous_report(model.describe(), "lemma_34", list(_LEMMA_34_ITEMS))
-    hip_report = hip_report or check_hip_axioms(model, ip, cfg)
-    precondition = hip_report.all_passed
+    precondition = hip.all_passed
 
     checks = {spec[0]: ItemCheck(*spec) for spec in _LEMMA_34_ITEMS}
     zero = model.zero()
@@ -581,27 +579,27 @@ def check_lemma_34(
 def check_theorem_normal(
     model: ModelSpec,
     ip: InnerProductSpec | None,
-    cfg: SampleConfig | None = None,
-    hip_report: CheckReport | None = None,
+    cfg: SampleConfig,
+    hip: CheckReport,
+    strong: CheckReport,
 ) -> CheckReport:
     """Hyperinner axioms imply strong normality; report any contradiction.
 
-    When the premise fails on samples the conclusions are vacuous and
-    the implication is consistent by default. When the premise holds,
-    every sampled essential set must be a singleton and the all-choices
-    normality reading must pass; a violation is surfaced loudly.
+    hip and strong are the hip and strong_normal reports for the same
+    model and config. When the premise fails on samples the conclusions
+    are vacuous and the implication is consistent by default. When the
+    premise holds, every sampled essential set must be a singleton and
+    the all-choices normality reading must pass; a violation is
+    surfaced loudly.
     """
-    cfg = cfg or SampleConfig()
     if ip is None:
         return vacuous_report(model.describe(), "theorem_normal", list(_THEOREM_ITEMS))
-    hip_report = hip_report or check_hip_axioms(model, ip, cfg)
-    hip_passed = hip_report.all_passed
-    hip_samples = max((it.samples for it in hip_report.items), default=0)
+    hip_passed = hip.all_passed
+    hip_samples = max((it.samples for it in hip.items), default=0)
 
     it_single = ItemCheck(*_THEOREM_ITEMS[0])
     singleton_violations = 0
     strong_ok = True
-    strong_witnesses: list[Witness] = []
     if hip_passed:
         for a, x in sample_stream(cfg, model.field, model.dim, 1, 1):
             ess = essential_points(model, a, x, cfg.depth)
@@ -621,17 +619,8 @@ def check_theorem_normal(
                         )
                     ]
                 )
-        strong = check_strong_normal(model, cfg)
         strong_ok = strong.all_passed
-        for it in strong.items:
-            strong_witnesses.extend(it.witnesses)
-        strong_item = CheckItem(
-            _THEOREM_ITEMS[1][0],
-            _THEOREM_ITEMS[1][1],
-            "pass" if strong_ok else "fail",
-            max(it.samples for it in strong.items),
-            strong_witnesses[:MAX_WITNESSES],
-        )
+        strong_item = mirror_item(*_THEOREM_ITEMS[1], strong)
         single_item = it_single.finish()
     else:
         single_item = CheckItem(*_THEOREM_ITEMS[0], "vacuous", 0, [])
@@ -673,20 +662,19 @@ def check_theorem_normal(
 def check_norm_props(
     model: ModelSpec,
     ip: InnerProductSpec | None,
-    cfg: SampleConfig | None = None,
-    hip_report: CheckReport | None = None,
+    cfg: SampleConfig,
+    hip: CheckReport,
 ) -> CheckReport:
-    """Norm laws in squared form; vacuous unless the hyperinner axioms held.
+    """Norm laws in squared form; vacuous unless the hyperinner axioms
+    held (hip is their report for the same model and config).
 
     Unbounded suprema are always surfaced with status "unbounded", even
     under a failed precondition, so a divergent norm is never reported
     as a number (or silently hidden).
     """
-    cfg = cfg or SampleConfig()
     if ip is None:
         return vacuous_report(model.describe(), "norm_props", list(_NORM_ITEMS))
-    hip_report = hip_report or check_hip_axioms(model, ip, cfg)
-    precondition = hip_report.all_passed
+    precondition = hip.all_passed
 
     checks = {spec[0]: ItemCheck(*spec) for spec in _NORM_ITEMS[:-1]}
 

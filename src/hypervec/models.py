@@ -2,12 +2,12 @@
 
 A model is F^n together with a product ``a o x`` that yields a whole set
 of vectors. Only finitely describable shapes are allowed so membership,
-enumeration, and set equality stay exactly decidable:
+enumeration, and set equality stay exactly decidable. There are two
+set shapes:
 
 * FiniteSet: explicit nonempty deduplicated set,
 * GeometricRay: {base * ratio^k : k >= 0} with nonzero base and a
-  positive rational ratio other than 1,
-* SignPair: {base, -base} with nonzero base.
+  positive rational ratio other than 1.
 
 Four product families are built in:
 
@@ -65,22 +65,7 @@ class GeometricRay:
         _validate_ratio(self.ratio)
 
 
-@dataclass(frozen=True)
-class SignPair:
-    """{base, -base}; base nonzero and canonicalized so the larger
-    vector (by vector_key) is stored."""
-
-    base: Vector
-
-    def __post_init__(self):
-        if self.base.is_zero:
-            raise ModelError("sign pair base must be nonzero; use sign_pair()")
-        neg = -self.base
-        if vector_key(neg) > vector_key(self.base):
-            object.__setattr__(self, "base", neg)
-
-
-HyperSet = Union[FiniteSet, GeometricRay, SignPair]
+HyperSet = Union[FiniteSet, GeometricRay]
 
 
 def _validate_ratio(ratio: Fraction):
@@ -102,13 +87,6 @@ def ray(base: Vector, ratio: Fraction) -> HyperSet:
     if base.is_zero:
         return finite([base])
     return GeometricRay(base, ratio)
-
-
-def sign_pair(base: Vector) -> HyperSet:
-    """{base, -base}; a zero base collapses to {0}."""
-    if base.is_zero:
-        return finite([base])
-    return SignPair(base)
 
 
 # --- families -------------------------------------------------------------
@@ -206,7 +184,7 @@ def product(model: ModelSpec, a: int | Scalar, x: Vector) -> HyperSet:
     if isinstance(fam, Geometric):
         return ray(ax, fam.ratio)
     if isinstance(fam, Sign):
-        return sign_pair(ax)
+        return finite([ax, -ax])
     raise ModelError(f"unknown family: {fam!r}")
 
 
@@ -262,8 +240,6 @@ def contains(s: HyperSet, v: Vector) -> bool:
     """Exact membership for every shape."""
     if isinstance(s, FiniteSet):
         return v in s.elements
-    if isinstance(s, SignPair):
-        return v == s.base or v == -s.base
     if isinstance(s, GeometricRay):
         return _ray_exponent(s, v) is not None
     raise ModelError(f"unknown hyperset: {s!r}")
@@ -275,8 +251,6 @@ def enumerate_set(s: HyperSet, depth: int) -> list[Vector]:
         raise ModelError("depth must be positive")
     if isinstance(s, FiniteSet):
         return list(s.elements)
-    if isinstance(s, SignPair):
-        return sorted([s.base, -s.base], key=vector_key)
     if isinstance(s, GeometricRay):
         out = []
         power = Fraction(1)
@@ -299,23 +273,13 @@ def hyperset_eq(s1: HyperSet, s2: HyperSet) -> bool:
         if isinstance(s1, GeometricRay) and isinstance(s2, GeometricRay):
             return s1.base == s2.base and s1.ratio == s2.ratio
         return False
-    return _as_element_set(s1) == _as_element_set(s2)
-
-
-def _as_element_set(s: HyperSet) -> frozenset[Vector]:
-    if isinstance(s, FiniteSet):
-        return frozenset(s.elements)
-    if isinstance(s, SignPair):
-        return frozenset((s.base, -s.base))
-    raise ModelError(f"not a finite shape: {s!r}")
+    return frozenset(s1.elements) == frozenset(s2.elements)
 
 
 def negate_set(s: HyperSet) -> HyperSet:
     """The image of a hyperset under negation."""
     if isinstance(s, FiniteSet):
         return finite([-v for v in s.elements])
-    if isinstance(s, SignPair):
-        return SignPair(-s.base)
     if isinstance(s, GeometricRay):
         return GeometricRay(-s.base, s.ratio)
     raise ModelError(f"unknown hyperset: {s!r}")
@@ -362,10 +326,10 @@ def _union(parts: list[HyperSet]) -> HyperSet:
             distinct.append(p)
     if len(distinct) == 1:
         return distinct[0]
-    if all(isinstance(p, (FiniteSet, SignPair)) for p in distinct):
+    if all(isinstance(p, FiniteSet) for p in distinct):
         elements: list[Vector] = []
         for p in distinct:
-            elements.extend(_as_element_set(p))
+            elements.extend(p.elements)
         return finite(elements)
     rays = [p for p in distinct if isinstance(p, GeometricRay)]
     if len(rays) == len(distinct) and len({r.ratio for r in rays}) == 1:
@@ -384,8 +348,6 @@ def product_of_set(model: ModelSpec, a: int | Scalar, s: HyperSet) -> HyperSet:
     a = model.admit_scalar(a)
     if isinstance(s, FiniteSet):
         return _union([product(model, a, v) for v in s.elements])
-    if isinstance(s, SignPair):
-        return _union([product(model, a, s.base), product(model, a, -s.base)])
     if isinstance(s, GeometricRay):
         if is_zero(a):
             return finite([model.zero()])
@@ -401,9 +363,6 @@ def product_of_set(model: ModelSpec, a: int | Scalar, s: HyperSet) -> HyperSet:
 def describe_set(s: HyperSet) -> str:
     if isinstance(s, FiniteSet):
         return "{" + ", ".join(str(v) for v in s.elements) + "}"
-    if isinstance(s, SignPair):
-        lo, hi = sorted([s.base, -s.base], key=vector_key)
-        return "{" + f"{lo}, {hi}" + "}"
     if isinstance(s, GeometricRay):
         return f"{{{s.base}*({s.ratio})^k : k >= 0}}"
     raise ModelError(f"unknown hyperset: {s!r}")

@@ -219,17 +219,6 @@ def make_scalar(field: FieldTag, value: int | Scalar) -> Scalar:
     return GaussianRational(value)
 
 
-def scalar_in_field(value: Scalar, field: FieldTag) -> bool:
-    if field is FieldTag.Q:
-        return isinstance(value, Fraction)
-    return isinstance(value, (Fraction, GaussianRational))
-
-
-def scalar_key(a: int | Scalar) -> tuple[Fraction, Fraction]:
-    """Deterministic sort key: (real part, imaginary part)."""
-    return (real_part(a), imag_part(a))
-
-
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _PURE_IMAG_RE = re.compile(r"^(?P<coef>[+-]?\d+(?:/\d+)?\*|[+-]?)i$")
 _FULL_RE = re.compile(

@@ -121,7 +121,7 @@ def test_criterion_06_identities_over_both_fields():
     dot = DotProduct()
     for field in (FieldTag.Q, FieldTag.QI):
         spec = ModelSpec(field, 2, ZeroAugmented())
-        report = check_lemma_34(spec, dot, cfg)
+        report = check_lemma_34(spec, dot, cfg, check_hip_axioms(spec, dot, cfg))
         assert report.all_passed, (field, [(i.id, i.status) for i in report.items])
     # the complex conjugate-scaling case, directly: a = 1+i
     spec = ModelSpec(FieldTag.QI, 2, ZeroAugmented())
@@ -132,7 +132,7 @@ def test_criterion_06_identities_over_both_fields():
     assert pairing(dot, x, e) == conjugate(a) * pairing(dot, x, y)
     # item 4 is stated with abs2, never a square root
     assert abs2(a) == F(2)
-    report = check_lemma_34(spec, dot, cfg, hip_report=check_hip_axioms(spec, dot, cfg))
+    report = check_lemma_34(spec, dot, cfg, check_hip_axioms(spec, dot, cfg))
     assert report.item("scaled_ball_bound").status == "pass"
 
 

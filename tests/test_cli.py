@@ -5,13 +5,17 @@ import json
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from hypervec import essential, inner
+from hypervec.checker import SUITE_NAMES
 from hypervec.cli import main
 
 CORPUS = Path(__file__).parent / "corpus"
+GOLDEN = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 CLEAN_FILE = """\
@@ -102,6 +106,54 @@ class TestCheckCommand:
     def test_bad_flag_value_exits_two(self, hvs, capsys):
         assert main(["check", hvs(CLEAN_FILE), "--samples", "0"]) == 2
         assert "samples" in capsys.readouterr().err
+
+
+def all_suites_file(family, samples=None):
+    """A catalog model over Q^2 with one directive per suite, in order."""
+    params = f" samples={samples}" if samples else ""
+    directives = "".join(f"check {suite}{params}\n" for suite in SUITE_NAMES)
+    return f'model "m" {{ field Q dim 2 product {family} inner dot }}\n' + directives
+
+
+class TestCheckSharesReports:
+    def test_each_report_computed_once_per_run(self, hvs, monkeypatch, capsys):
+        calls = Counter()
+        for module, name in (
+            (inner, "check_hip_axioms"),
+            (essential, "check_strong_normal"),
+            (essential, "check_weak_normal"),
+        ):
+            def counted(*args, _check=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _check(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        path = hvs(all_suites_file("trivial", samples=30))
+        once = {"check_hip_axioms": 1, "check_strong_normal": 1, "check_weak_normal": 1}
+        assert main(["check", path]) == 0
+        assert calls == once
+        # the reports are not kept from one run to the next
+        assert main(["check", path]) == 0
+        assert calls == {name: 2 for name in once}
+        capsys.readouterr()
+
+    def test_reports_are_shared_only_at_equal_config(self, hvs, tmp_path, capsys):
+        path = hvs('model "t" { field Q dim 2 product trivial inner dot }\n'
+                   "check hip samples=30\ncheck theorem_normal samples=60\n")
+        out = tmp_path / "r.json"
+        assert main(["check", path, "--json", str(out)]) == 0
+        capsys.readouterr()
+        hip, theorem = json.loads(out.read_text())["suites"]
+        assert max(item["samples"] for item in hip["items"]) == 30
+        consistent = [i for i in theorem["items"] if i["id"] == "implication_consistent"]
+        assert consistent[0]["samples"] == 60
+
+    @pytest.mark.parametrize("family", ["trivial", "sign"])
+    def test_full_run_matches_golden_report(self, family, hvs, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        main(["check", hvs(all_suites_file(family)), "--json", str(out)])
+        capsys.readouterr()
+        assert out.read_bytes() == (GOLDEN / f"{family}.json").read_bytes()
 
 
 class TestEssentialCommand:

@@ -102,15 +102,17 @@ class TestEssentialPoints:
 class TestLemmaBasic:
     @pytest.mark.parametrize("model", CATALOG, ids=lambda m: m.describe())
     def test_passes_everywhere(self, model, fast_cfg):
-        report = check_lemma_basic(model, fast_cfg)
+        report = check_lemma_basic(model, fast_cfg, check_strong_normal(model, fast_cfg))
         assert report.clean, [(i.id, i.status) for i in report.items]
 
     def test_singleton_item_vacuous_on_sign(self, fast_cfg):
-        report = check_lemma_basic(mk(Sign()), fast_cfg)
+        model = mk(Sign())
+        report = check_lemma_basic(model, fast_cfg, check_strong_normal(model, fast_cfg))
         assert report.item("singleton_under_strong_normality").status == "vacuous"
 
     def test_singleton_item_live_on_trivial(self, fast_cfg):
-        report = check_lemma_basic(mk(Trivial()), fast_cfg)
+        model = mk(Trivial())
+        report = check_lemma_basic(model, fast_cfg, check_strong_normal(model, fast_cfg))
         assert report.item("singleton_under_strong_normality").status == "pass"
 
 
@@ -152,9 +154,14 @@ class TestNormalityReadings:
         assert e1 + e2 == zero_vector(FieldTag.Q, 2)
 
     def test_equivalence_report(self, fast_cfg):
-        good = check_normal_equivalence(mk(ZeroAugmented()), fast_cfg)
+        def equivalence(model):
+            weak = check_weak_normal(model, fast_cfg)
+            strong = check_strong_normal(model, fast_cfg)
+            return check_normal_equivalence(model, fast_cfg, weak, strong)
+
+        good = equivalence(mk(ZeroAugmented()))
         assert good.all_passed
-        bad = check_normal_equivalence(mk(Sign()), fast_cfg)
+        bad = equivalence(mk(Sign()))
         agree = bad.item("readings_agree")
         assert agree.status == "fail"
         assert "readings disagree" in agree.witnesses[0].relation

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypervec.checker import SampleConfig
+from hypervec.checker import SampleConfig, run_suites
 from hypervec.essential import essential_points
 from hypervec.inner import (
     DotProduct,
@@ -12,10 +12,7 @@ from hypervec.inner import (
     UnboundedSupremumError,
     WeightedDot,
     check_hip_axioms,
-    check_lemma_34,
-    check_norm_props,
     check_real_ip_axioms,
-    check_theorem_normal,
     norm_sq,
     pairing,
     sup_pairing,
@@ -34,6 +31,12 @@ from hypervec.vectors import make_vector, unit_vector
 F = Fraction
 G = GaussianRational
 DOT = DotProduct()
+
+
+def run_one(suite, model, cfg, ip=DOT):
+    """One suite through the runner, which hands it its dependency reports."""
+    (report,) = run_suites(model, ip, cfg, [suite])
+    return report
 
 
 def qv(*coords):
@@ -201,7 +204,7 @@ class TestHipSuite:
 class TestLemma34Suite:
     def test_zero_augmented_both_fields(self, fast_cfg):
         for field, cfg in ((FieldTag.Q, fast_cfg), (FieldTag.QI, SampleConfig(samples=250))):
-            report = check_lemma_34(mk(ZeroAugmented(), field=field), DOT, cfg)
+            report = run_one("lemma_34", mk(ZeroAugmented(), field=field), cfg)
             assert report.all_passed, (field, [(i.id, i.status) for i in report.items])
 
     def test_complex_conjugate_oracle(self):
@@ -212,11 +215,11 @@ class TestLemma34Suite:
         assert pairing(DOT, x, e) == conjugate(a) * pairing(DOT, x, y)
 
     def test_vacuous_when_premise_fails(self, fast_cfg):
-        report = check_lemma_34(mk(Sign()), DOT, fast_cfg)
+        report = run_one("lemma_34", mk(Sign()), fast_cfg)
         assert all(i.status == "vacuous" for i in report.items)
 
     def test_item_ids(self, fast_cfg):
-        report = check_lemma_34(mk(Trivial()), DOT, fast_cfg)
+        report = run_one("lemma_34", mk(Trivial()), fast_cfg)
         assert [i.id for i in report.items] == [
             "zero_pairing",
             "negation",
@@ -234,16 +237,16 @@ class TestTheoremSuite:
         ids=lambda m: m.describe(),
     )
     def test_consistent_on_catalog(self, model, fast_cfg):
-        report = check_theorem_normal(model, DOT, fast_cfg)
+        report = run_one("theorem_normal", model, fast_cfg)
         assert report.item("implication_consistent").status == "pass"
 
     def test_conclusions_live_when_premise_holds(self, fast_cfg):
-        report = check_theorem_normal(mk(ZeroAugmented()), DOT, fast_cfg)
+        report = run_one("theorem_normal", mk(ZeroAugmented()), fast_cfg)
         assert report.item("essential_singletons").status == "pass"
         assert report.item("strong_normality").status == "pass"
 
     def test_conclusions_vacuous_when_premise_fails(self, fast_cfg):
-        report = check_theorem_normal(mk(Sign()), DOT, fast_cfg)
+        report = run_one("theorem_normal", mk(Sign()), fast_cfg)
         assert report.item("essential_singletons").status == "vacuous"
         assert report.item("strong_normality").status == "vacuous"
         assert report.item("implication_consistent").status == "pass"
@@ -256,23 +259,23 @@ class TestNormSuite:
         ids=lambda m: m.describe(),
     )
     def test_passing_models(self, model, fast_cfg):
-        report = check_norm_props(model, DOT, fast_cfg)
+        report = run_one("norm_props", model, fast_cfg)
         assert report.all_passed, [(i.id, i.status) for i in report.items]
 
     def test_weighted_dot_passes_too(self, fast_cfg):
         wd = WeightedDot((F(2), F(1, 3)))
-        report = check_norm_props(mk(ZeroAugmented()), wd, fast_cfg)
+        report = run_one("norm_props", mk(ZeroAugmented()), fast_cfg, wd)
         assert report.all_passed
 
     def test_geometric_two_unbounded(self, fast_cfg):
-        report = check_norm_props(mk(Geometric(F(2))), DOT, fast_cfg)
+        report = run_one("norm_props", mk(Geometric(F(2))), fast_cfg)
         assert report.item("sup_scaling").status == "unbounded"
         assert report.item("norm_axioms").status == "unbounded"
         w = report.item("sup_scaling").witnesses[0]
         assert "unbounded" in w.relation
 
     def test_sign_vacuous(self, fast_cfg):
-        report = check_norm_props(mk(Sign()), DOT, fast_cfg)
+        report = run_one("norm_props", mk(Sign()), fast_cfg)
         assert all(i.status == "vacuous" for i in report.items)
 
     def test_cauchy_schwarz_equality_iff_parallel(self):

@@ -12,7 +12,6 @@ from hypervec.models import (
     ModelError,
     ModelSpec,
     Sign,
-    SignPair,
     Trivial,
     ZeroAugmented,
     check_wvs_axioms,
@@ -26,7 +25,6 @@ from hypervec.models import (
     product,
     product_of_set,
     ray,
-    sign_pair,
     sumset,
 )
 from hypervec.scalars import FieldTag, GaussianRational
@@ -38,6 +36,11 @@ G = GaussianRational
 
 def qv(*coords):
     return make_vector(FieldTag.Q, list(coords))
+
+
+def pm(v):
+    """The sign pair {v, -v}, as the sign family builds it."""
+    return finite([v, -v])
 
 
 def mk(family, dim=2, field=FieldTag.Q):
@@ -68,15 +71,13 @@ class TestShapes:
             ray(qv(1, 0), F(0))
 
     def test_sign_pair_canonical(self):
-        assert sign_pair(qv(-1, 0)) == sign_pair(qv(1, 0))
-        # the factory collapses a zero base like ray() does
-        assert sign_pair(qv(0, 0)) == finite([qv(0, 0)])
-        with pytest.raises(ModelError):
-            SignPair(qv(0, 0))
+        assert pm(qv(-1, 0)) == pm(qv(1, 0))
+        # a zero base collapses to {0} like ray() does
+        assert pm(qv(0, 0)) == finite([qv(0, 0)])
 
     def test_describe(self):
         assert describe_set(finite([qv(3, 6)])) == "{(3, 6)}"
-        assert describe_set(sign_pair(qv(1, 0))) == "{(-1, 0), (1, 0)}"
+        assert describe_set(pm(qv(1, 0))) == "{(-1, 0), (1, 0)}"
         assert describe_set(ray(qv(6, 0), F(1, 2))) == "{(6, 0)*(1/2)^k : k >= 0}"
 
 
@@ -100,7 +101,7 @@ class TestProducts:
         )
 
     def test_sign(self):
-        assert product(mk(Sign()), 2, qv(1, 0)) == sign_pair(qv(2, 0))
+        assert product(mk(Sign()), 2, qv(1, 0)) == pm(qv(2, 0))
         assert product(mk(Sign()), 0, qv(1, 0)) == finite([qv(0, 0)])
 
     def test_zero_in_every_family(self):
@@ -133,12 +134,12 @@ class TestMembershipEnumeration:
             qv(0, 0),
             qv(1, 0),
         ]
-        assert enumerate_set(sign_pair(qv(2, 0)), 1) == [qv(-2, 0), qv(2, 0)]
+        assert enumerate_set(pm(qv(2, 0)), 1) == [qv(-2, 0), qv(2, 0)]
 
     def test_enumerated_elements_are_members(self):
         for s in (
             finite([qv(1, 2), qv(3, 4)]),
-            sign_pair(qv(5, 0)),
+            pm(qv(5, 0)),
             ray(qv(2, 2), F(3)),
             ray(qv(2, 2), F(1, 3)),
         ):
@@ -152,14 +153,14 @@ class TestSetAlgebra:
         assert hyperset_eq(ray(qv(1, 0), F(2)), ray(qv(1, 0), F(2)))
         assert not hyperset_eq(ray(qv(1, 0), F(2)), ray(qv(2, 0), F(2)))
         assert not hyperset_eq(ray(qv(1, 0), F(2)), finite([qv(1, 0)]))
-        # a sign pair equals the finite set of its two points
-        assert hyperset_eq(sign_pair(qv(1, 0)), finite([qv(1, 0), qv(-1, 0)]))
+        # a sign pair is the same set whichever of its points names it
+        assert hyperset_eq(pm(qv(1, 0)), pm(qv(-1, 0)))
 
     def test_negate(self):
         assert negate_set(finite([qv(1, 2)])) == finite([qv(-1, -2)])
         assert negate_set(ray(qv(6, 0), F(1, 2))) == ray(qv(-6, 0), F(1, 2))
         # sign pairs are symmetric, negation is the identity on them
-        assert negate_set(sign_pair(qv(1, 0))) == sign_pair(qv(1, 0))
+        assert negate_set(pm(qv(1, 0))) == pm(qv(1, 0))
 
     def test_sumset(self):
         s = sumset(finite([qv(1, 0)]), finite([qv(0, 1), qv(2, 0)]), 4)

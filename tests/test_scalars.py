@@ -21,7 +21,6 @@ from hypervec.scalars import (
     parse_rational,
     parse_scalar,
     real_part,
-    scalar_in_field,
 )
 
 G = GaussianRational
@@ -94,11 +93,6 @@ class TestFieldTagging:
         # even a real-embedded Gaussian: the fields never mix
         with pytest.raises(ValueError):
             make_scalar(FieldTag.Q, G(3))
-
-    def test_scalar_in_field(self):
-        assert scalar_in_field(F(1), FieldTag.Q)
-        assert not scalar_in_field(G(1, 1), FieldTag.Q)
-        assert scalar_in_field(G(1, 1), FieldTag.QI)
 
     def test_is_zero(self):
         assert is_zero(F(0)) and is_zero(G(0))
