@@ -19,9 +19,10 @@ Four product families are built in:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .checker import CheckReport, ItemCheck, SampleConfig, Witness, sample_stream
 from .scalars import (
@@ -189,26 +190,22 @@ def product(model: ModelSpec, a: int | Scalar, x: Vector) -> HyperSet:
 
 
 def _solve_power(t: Fraction, r: Fraction) -> int | None:
-    """Exact k >= 0 with r^k == t, else None. r positive, != 1."""
+    """Exact k >= 0 with r^k == t, else None. r positive, != 1.
+
+    r = p/q and t are in lowest terms and so is p^k/q^k, so r^k == t
+    exactly when num(t) == p^k and den(t) == q^k. The larger of p and q
+    is an integer b >= 2 whose power must equal the matching part m of
+    t, so the only candidate is k = log_b(m), read off the logarithms
+    (math.log2 takes ints of any size) and confirmed with exact powers.
+    """
     if t <= 0:
         return None
-    if t == 1:
-        return 0
-    cur = Fraction(1)
-    k = 0
-    if r < 1:
-        if t > 1:
-            return None
-        while cur > t:
-            cur *= r
-            k += 1
-    else:
-        if t < 1:
-            return None
-        while cur < t:
-            cur *= r
-            k += 1
-    return k if cur == t else None
+    p, q = r.numerator, r.denominator
+    b, m = (p, t.numerator) if p > q else (q, t.denominator)
+    k = round(math.log2(m) / math.log2(b))
+    if pow(p, k) == t.numerator and pow(q, k) == t.denominator:
+        return k
+    return None
 
 
 def _ray_exponent(s: GeometricRay, v: Vector) -> int | None:
@@ -245,20 +242,24 @@ def contains(s: HyperSet, v: Vector) -> bool:
     raise ModelError(f"unknown hyperset: {s!r}")
 
 
+def _walk(s: HyperSet, depth: int) -> Iterator[Vector]:
+    """The elements of enumerate_set, in its order, built one at a time."""
+    if isinstance(s, FiniteSet):
+        yield from s.elements
+    elif isinstance(s, GeometricRay):
+        power = Fraction(1)
+        for _ in range(depth):
+            yield s.base.scaled(power)
+            power *= s.ratio
+    else:
+        raise ModelError(f"unknown hyperset: {s!r}")
+
+
 def enumerate_set(s: HyperSet, depth: int) -> list[Vector]:
     """Deterministic enumeration; rays are truncated to depth elements."""
     if depth < 1:
         raise ModelError("depth must be positive")
-    if isinstance(s, FiniteSet):
-        return list(s.elements)
-    if isinstance(s, GeometricRay):
-        out = []
-        power = Fraction(1)
-        for _ in range(depth):
-            out.append(s.base.scaled(power))
-            power *= s.ratio
-        return out
-    raise ModelError(f"unknown hyperset: {s!r}")
+    return list(_walk(s, depth))
 
 
 def hyperset_eq(s1: HyperSet, s2: HyperSet) -> bool:
@@ -290,6 +291,31 @@ def sumset(s1: HyperSet, s2: HyperSet, depth: int) -> FiniteSet:
     left = enumerate_set(s1, depth)
     right = enumerate_set(s2, depth)
     return finite([u + v for u in left for v in right])
+
+
+def sumset_meets(
+    s: HyperSet, s1: HyperSet, s2: HyperSet, depth: int
+) -> Vector | None:
+    """Some sum u + v lying in s, or None if no such sum exists.
+
+    u and v range over the depth-bounded enumerations of s1 and s2, as
+    in sumset(s1, s2, depth), so None agrees exactly with
+    intersect_nonempty(s, sumset(s1, s2, depth), depth) is None. The
+    pairs are walked in row-major order and the walk stops at the first
+    sum in s, before the rest of either enumeration is built.
+    """
+    if depth < 1:
+        raise ModelError("depth must be positive")
+    right: Iterable[Vector] = _walk(s2, depth)
+    for u in _walk(s1, depth):
+        row = []
+        for v in right:
+            row.append(v)
+            w = u + v
+            if contains(s, w):
+                return w
+        right = row
+    return None
 
 
 def intersect_nonempty(s1: HyperSet, s2: HyperSet, depth: int) -> Vector | None:
@@ -386,9 +412,10 @@ def check_wvs_axioms(model: ModelSpec, cfg: SampleConfig | None = None) -> Check
     it_unit = ItemCheck("unit_contains", "x in 1 o x")
 
     for a, b, x, y in sample_stream(cfg, model.field, model.dim, 2, 2):
+        ax = product(model, a, x)
         lhs = product(model, a, x + y)
-        rhs = sumset(product(model, a, x), product(model, a, y), cfg.depth)
-        if intersect_nonempty(lhs, rhs, cfg.depth) is None:
+        ay = product(model, a, y)
+        if sumset_meets(lhs, ax, ay, cfg.depth) is None:
             it_right.sample(
                 [
                     Witness(
@@ -397,7 +424,7 @@ def check_wvs_axioms(model: ModelSpec, cfg: SampleConfig | None = None) -> Check
                             "x": str(x),
                             "y": str(y),
                             "left": describe_set(lhs),
-                            "right": describe_set(rhs),
+                            "right": describe_set(sumset(ax, ay, cfg.depth)),
                         },
                         f"no common element found up to depth {cfg.depth}",
                     )
@@ -407,8 +434,8 @@ def check_wvs_axioms(model: ModelSpec, cfg: SampleConfig | None = None) -> Check
             it_right.sample([])
 
         lhs2 = product(model, a + b, x)
-        rhs2 = sumset(product(model, a, x), product(model, b, x), cfg.depth)
-        if intersect_nonempty(lhs2, rhs2, cfg.depth) is None:
+        bx = product(model, b, x)
+        if sumset_meets(lhs2, ax, bx, cfg.depth) is None:
             it_left.sample(
                 [
                     Witness(
@@ -417,7 +444,7 @@ def check_wvs_axioms(model: ModelSpec, cfg: SampleConfig | None = None) -> Check
                             "b": format_scalar(b),
                             "x": str(x),
                             "left": describe_set(lhs2),
-                            "right": describe_set(rhs2),
+                            "right": describe_set(sumset(ax, bx, cfg.depth)),
                         },
                         f"no common element found up to depth {cfg.depth}",
                     )
@@ -449,7 +476,7 @@ def check_wvs_axioms(model: ModelSpec, cfg: SampleConfig | None = None) -> Check
 
         neg_arg = product(model, a, -x)
         neg_scalar = product(model, -a, x)
-        neg_image = negate_set(product(model, a, x))
+        neg_image = negate_set(ax)
         if hyperset_eq(neg_arg, neg_scalar) and hyperset_eq(neg_scalar, neg_image):
             it_neg.sample([])
         else:

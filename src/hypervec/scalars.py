@@ -182,11 +182,14 @@ def real_part(a: int | Scalar) -> Fraction:
     return a
 
 
+_ZERO = Fraction(0)
+
+
 def imag_part(a: int | Scalar) -> Fraction:
     a = _as_scalar(a)
     if isinstance(a, GaussianRational):
         return a.im
-    return Fraction(0)
+    return _ZERO
 
 
 def as_real(a: int | Scalar) -> Fraction:

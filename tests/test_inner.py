@@ -1,8 +1,10 @@
 """Pairings, suprema, and the five inner-product suites."""
 
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hypervec.checker import SampleConfig, run_suites
 from hypervec.essential import essential_points
@@ -11,6 +13,7 @@ from hypervec.inner import (
     SupResult,
     UnboundedSupremumError,
     WeightedDot,
+    _ball_violation,
     check_hip_axioms,
     check_real_ip_axioms,
     norm_sq,
@@ -24,6 +27,7 @@ from hypervec.models import (
     Sign,
     Trivial,
     ZeroAugmented,
+    ray,
 )
 from hypervec.scalars import FieldTag, GaussianRational, conjugate
 from hypervec.vectors import make_vector, unit_vector
@@ -131,6 +135,41 @@ class TestSupPairing:
         m = mk(Trivial(), field=FieldTag.QI)
         with pytest.raises(ModelError):
             sup_pairing(m, DOT, 1, gv(1, 0), gv(1, 0))
+
+
+def ball_violation_walk(ip, s, bound):
+    """The upward walk along a ray: the reference for _ball_violation."""
+    r2 = s.ratio * s.ratio
+    cur, u = norm_sq(ip, s.base), s.base
+    while cur <= bound:
+        cur *= r2
+        u = u.scaled(s.ratio)
+    return u
+
+
+class TestBallViolation:
+    @given(
+        st.sampled_from([F(2), F(3), F(3, 2), F(7, 5)]),
+        st.fractions(min_value=1, max_value=10**6, max_denominator=50),
+        st.sampled_from([qv(1, 0), qv(F(1, 2), 1), gv(G(1, 1), 0)]),
+    )
+    def test_matches_walk(self, ratio, bound, base):
+        s = ray(base, ratio)
+        assert _ball_violation(DOT, s, bound, 8) == ball_violation_walk(DOT, s, bound)
+
+    def test_closed_forms(self):
+        s = ray(qv(1, 0), F(2))
+        # (u, u) = 4^k first exceeds 4 at k = 2, and 4^k = 4 does not exceed it
+        assert _ball_violation(DOT, s, F(4), 8) == qv(4, 0)
+        assert _ball_violation(DOT, s, F(1, 2), 8) == qv(1, 0)
+        assert _ball_violation(DOT, ray(qv(1, 0), F(1, 2)), F(1), 8) is None
+
+    def test_huge_bound(self):
+        start = time.perf_counter()
+        u = _ball_violation(DOT, ray(qv(1, 0), F(2)), F(2) ** 40000, 8)
+        # 4^k > 2^40000 first holds at k = 20001
+        assert u == qv(2**20001, 0)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestRealIpSuite:

@@ -1,10 +1,13 @@
 """Set-valued products: shapes, closed forms, and the base axiom suite."""
 
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hypervec.checker import SampleConfig, sample_stream
+from hypervec import models
+from hypervec.checker import SampleConfig, render_json, report_document, sample_stream
 from hypervec.models import (
     FiniteSet,
     Geometric,
@@ -14,6 +17,7 @@ from hypervec.models import (
     Sign,
     Trivial,
     ZeroAugmented,
+    _solve_power,
     check_wvs_axioms,
     contains,
     describe_set,
@@ -26,9 +30,10 @@ from hypervec.models import (
     product_of_set,
     ray,
     sumset,
+    sumset_meets,
 )
-from hypervec.scalars import FieldTag, GaussianRational
-from hypervec.vectors import make_vector, zero_vector
+from hypervec.scalars import FieldTag, GaussianRational, parse_scalar
+from hypervec.vectors import make_vector, parse_vector, zero_vector
 
 F = Fraction
 G = GaussianRational
@@ -48,6 +53,61 @@ def mk(family, dim=2, field=FieldTag.Q):
 
 
 ALL_FAMILIES = [Trivial(), ZeroAugmented(), Geometric(F(1, 2)), Geometric(F(2)), Sign()]
+
+RATIOS = [F(1, 2), F(2), F(3), F(2, 3)]
+small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+def solve_power_walk(t, r):
+    """The exponent walk, one step at a time: the reference for _solve_power."""
+    if t <= 0:
+        return None
+    if t == 1:
+        return 0
+    cur = F(1)
+    k = 0
+    if r < 1:
+        if t > 1:
+            return None
+        while cur > t:
+            cur *= r
+            k += 1
+    else:
+        if t < 1:
+            return None
+        while cur < t:
+            cur *= r
+            k += 1
+    return k if cur == t else None
+
+
+@st.composite
+def meet_cases(draw):
+    """(s, s1, s2, depth) over Q or Q[i] in dims 1-4; s often holds a sum."""
+    field = draw(st.sampled_from([FieldTag.Q, FieldTag.QI]))
+    dim = draw(st.integers(1, 4))
+    coord = small if field is FieldTag.Q else st.builds(G, small, small)
+    vec = st.lists(coord, min_size=dim, max_size=dim).map(
+        lambda cs: make_vector(field, cs)
+    )
+
+    def shape():
+        if draw(st.booleans()):
+            return finite(draw(st.lists(vec, min_size=1, max_size=3)))
+        return ray(draw(vec), draw(st.sampled_from(RATIOS)))
+
+    s1, s2, s = shape(), shape(), shape()
+    depth = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        # a sum of elements up to two steps past the bound, so the target
+        # may hold a bounded sum or only one the bounded search cannot see
+        u = draw(st.sampled_from(enumerate_set(s1, depth + 2)))
+        v = draw(st.sampled_from(enumerate_set(s2, depth + 2)))
+        if draw(st.booleans()):
+            s = ray(u + v, draw(st.sampled_from(RATIOS)))
+        else:
+            s = finite([u + v, draw(vec)])
+    return s, s1, s2, depth
 
 
 class TestShapes:
@@ -136,6 +196,28 @@ class TestMembershipEnumeration:
         ]
         assert enumerate_set(pm(qv(2, 0)), 1) == [qv(-2, 0), qv(2, 0)]
 
+    @given(
+        st.sampled_from(RATIOS + [F(5), F(1, 7), F(9, 4), F(4, 9)]),
+        st.integers(0, 40),
+        st.sampled_from([F(1), F(1), F(2), F(1, 3), F(5, 4), F(-1)]),
+    )
+    def test_solve_power_matches_walk(self, r, k, factor):
+        t = r**k * factor
+        assert _solve_power(t, r) == solve_power_walk(t, r)
+
+    @given(st.fractions(min_value=-5, max_value=300, max_denominator=50))
+    def test_solve_power_matches_walk_anywhere(self, t):
+        for r in RATIOS:
+            assert _solve_power(t, r) == solve_power_walk(t, r)
+
+    @pytest.mark.parametrize(
+        "t,expected", [(F(2) ** 200000, 200000), (F(2) ** 200000 + 1, None)]
+    )
+    def test_solve_power_huge_exponent(self, t, expected):
+        start = time.perf_counter()
+        assert _solve_power(t, F(2)) == expected
+        assert time.perf_counter() - start < 1.0
+
     def test_enumerated_elements_are_members(self):
         for s in (
             finite([qv(1, 2), qv(3, 4)]),
@@ -165,6 +247,25 @@ class TestSetAlgebra:
     def test_sumset(self):
         s = sumset(finite([qv(1, 0)]), finite([qv(0, 1), qv(2, 0)]), 4)
         assert s == finite([qv(1, 1), qv(3, 0)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(meet_cases())
+    def test_sumset_meets_matches_intersect_of_sumset(self, case):
+        s, s1, s2, depth = case
+        bounded = sumset(s1, s2, depth)
+        got = sumset_meets(s, s1, s2, depth)
+        assert (got is None) == (intersect_nonempty(s, bounded, depth) is None)
+        if got is not None:
+            assert contains(s, got) and got in bounded.elements
+
+    def test_sumset_meets_stops_at_the_bound(self):
+        r = ray(qv(1, 0), F(2))
+        # 1 + 8 lies in the sumset only from depth 4 on
+        target = finite([qv(9, 0)])
+        assert sumset_meets(target, r, r, 3) is None
+        assert sumset_meets(target, r, r, 4) == qv(9, 0)
+        with pytest.raises(ModelError):
+            sumset_meets(target, r, r, 0)
 
     def test_intersections(self):
         r = ray(qv(8, 0), F(1, 2))
@@ -232,6 +333,61 @@ class TestAxiomSuite:
             "negation",
             "unit_contains",
         ]
+
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=str)
+    def test_distributive_laws_build_no_sumset(self, family, monkeypatch):
+        model = mk(family, dim=4)
+        cfg = SampleConfig(samples=50, height=1000, depth=12)
+        calls = []
+        monkeypatch.setattr(
+            models, "sumset", lambda *args: calls.append(args) or sumset(*args)
+        )
+        report = check_wvs_axioms(model, cfg)
+        assert report.all_passed
+        assert calls == []
+        # the same bytes as deciding each law on the built sumset
+        monkeypatch.setattr(
+            models,
+            "sumset_meets",
+            lambda s, s1, s2, d: intersect_nonempty(s, sumset(s1, s2, d), d),
+        )
+        reference = check_wvs_axioms(model, cfg)
+
+        def rendered(r):
+            return render_json(report_document(model.describe(), cfg.seed, [r]))
+
+        assert rendered(report) == rendered(reference)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=str)
+    def test_miss_witness_describes_the_sumset(self, family, monkeypatch):
+        monkeypatch.setattr(models, "sumset_meets", lambda s, s1, s2, d: None)
+        model = mk(family)
+        cfg = SampleConfig(samples=20, depth=3)
+        report = check_wvs_axioms(model, cfg)
+
+        def scalar(w, name):
+            return parse_scalar(w.bindings[name], model.field)
+
+        def vector(w, name):
+            return parse_vector(w.bindings[name], model.field)
+
+        right = report.item("right_distributive")
+        assert right.status == "fail" and right.witnesses
+        for w in right.witnesses:
+            a, x, y = scalar(w, "a"), vector(w, "x"), vector(w, "y")
+            assert w.bindings["left"] == describe_set(product(model, a, x + y))
+            assert w.bindings["right"] == describe_set(
+                sumset(product(model, a, x), product(model, a, y), cfg.depth)
+            )
+        left = report.item("left_distributive")
+        assert left.status == "fail" and left.witnesses
+        for w in left.witnesses:
+            a, b, x = scalar(w, "a"), scalar(w, "b"), vector(w, "x")
+            assert w.bindings["left"] == describe_set(product(model, a + b, x))
+            assert w.bindings["right"] == describe_set(
+                sumset(product(model, a, x), product(model, b, x), cfg.depth)
+            )
 
 
 class TestNegationImageProperty:
