@@ -2,6 +2,7 @@
 
 import importlib.metadata
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 from hypervec import essential, inner
 from hypervec.checker import SUITE_NAMES
 from hypervec.cli import main
+from hypervec.dsl import parse_model_file
 
 CORPUS = Path(__file__).parent / "corpus"
 GOLDEN = Path(__file__).parent / "golden"
@@ -154,6 +156,35 @@ class TestCheckSharesReports:
         main(["check", hvs(all_suites_file(family)), "--json", str(out)])
         capsys.readouterr()
         assert out.read_bytes() == (GOLDEN / f"{family}.json").read_bytes()
+
+
+CHECKED_CORPUS = sorted(
+    path for path in (CORPUS / "valid").glob("*.hvs")
+    if parse_model_file(path.read_text(encoding="utf-8")).checks
+)
+
+
+class TestCorpusGolden:
+    """The JSON report of every valid corpus file with a check directive.
+
+    These files reach what the catalog golden files do not: Q[i],
+    weighted_dot, dims 1 and 3, unbounded witnesses and directive
+    parameters. Regenerate with REGEN_GOLDEN=1 in the environment.
+    """
+
+    def test_corpus_has_checked_files(self):
+        assert len(CHECKED_CORPUS) == 10
+
+    @pytest.mark.parametrize("path", CHECKED_CORPUS, ids=lambda p: p.stem)
+    def test_report_matches_golden(self, path, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        main(["check", str(path), "--json", str(out)])
+        capsys.readouterr()
+        golden = GOLDEN / "corpus" / f"{path.stem}.json"
+        if os.environ.get("REGEN_GOLDEN"):
+            golden.parent.mkdir(exist_ok=True)
+            golden.write_bytes(out.read_bytes())
+        assert out.read_bytes() == golden.read_bytes()
 
 
 class TestEssentialCommand:
