@@ -21,7 +21,8 @@ _MASK64 = (1 << 64) - 1
 # Every suite: the module of its check function, the function's name,
 # and the suites whose reports it reads. A check function takes
 # (model, cfg), or (model, ip, cfg) in `inner`, followed by one report
-# per suite it reads, in the order listed here.
+# per suite it reads, in the order listed here (None for each when an
+# inner suite is run without an inner product).
 SUITES = {
     "wvs_axioms": ("models", "check_wvs_axioms", ()),
     "lemma_basic": ("essential", "check_lemma_basic", ("strong_normal",)),
@@ -102,10 +103,16 @@ class SampleConfig:
 
 @dataclass
 class Witness:
-    """One concrete violation: named exact values plus the relation broken."""
+    """One concrete violation: named exact values plus the relation broken.
 
-    bindings: dict[str, str]
+    Each binding is kept as its text form, str(value).
+    """
+
+    bindings: dict[str, object]
     relation: str
+
+    def __post_init__(self):
+        self.bindings = {name: str(value) for name, value in self.bindings.items()}
 
     def to_json(self) -> dict:
         return {"bindings": dict(self.bindings), "relation": self.relation}
@@ -204,6 +211,10 @@ class ItemCheck:
         return CheckItem(self.id, self.anchor, status, self.samples, witnesses)
 
 
+class Unbounded(Witness):
+    """A supremum that grows without bound, instead of a value."""
+
+
 def vacuous_report(
     model_desc: str, suite: str, items: list[tuple[str, str]]
 ) -> CheckReport:
@@ -298,6 +309,34 @@ def sample_stream(
         count += 1
 
 
+def run_laws(
+    model, suite: str, items, cfg: SampleConfig, arity: tuple[int, int], body,
+    vacuous: bool = False,
+) -> CheckReport:
+    """Sample the laws of one suite and report one item per (id, anchor) row.
+
+    body(*sample) runs once per tuple of sample_stream (arity is its
+    count of scalars and of vectors) and yields (law id, outcome) for
+    each law it decided on that tuple. A falsy outcome passes, a Witness
+    or a list of them fails, and an Unbounded witness marks the law
+    unbounded. A law not yielded on a tuple is not sampled on it. With
+    vacuous, every item finishes vacuous unless it hit an unbounded
+    supremum.
+    """
+    checks = {law: ItemCheck(law, anchor) for law, anchor in items}
+    for sample in sample_stream(cfg, model.field, model.dim, *arity):
+        for law, outcome in body(*sample):
+            if isinstance(outcome, Unbounded):
+                checks[law].mark_unbounded(outcome)
+            elif isinstance(outcome, Witness):
+                checks[law].sample([outcome])
+            else:
+                checks[law].sample(outcome or [])
+    return CheckReport(
+        model.describe(), suite, [check.finish(vacuous) for check in checks.values()]
+    )
+
+
 def run_suites(
     model, ip, cfg: SampleConfig, suites: list[str], memo: dict | None = None
 ) -> list[CheckReport]:
@@ -328,7 +367,9 @@ def _run_suite(name: str, model, ip, cfg: SampleConfig, memo: dict) -> CheckRepo
         # must take effect
         check = getattr(importlib.import_module(f"{__package__}.{module}"), function)
         args = (model, ip, cfg) if module == "inner" else (model, cfg)
-        deps = [_run_suite(dep, model, ip, cfg, memo) for dep in reads]
+        # without an inner product an inner suite is vacuous and reads nothing
+        needed = module != "inner" or ip is not None
+        deps = [_run_suite(dep, model, ip, cfg, memo) if needed else None for dep in reads]
         memo[key] = check(*args, *deps)
     return memo[key]
 

@@ -20,23 +20,21 @@ from dataclasses import dataclass
 from .checker import (
     CheckItem,
     CheckReport,
-    ItemCheck,
     SampleConfig,
     Witness,
     mirror_item,
-    sample_stream,
+    run_laws,
 )
 from .models import (
     FiniteSet,
     GeometricRay,
     ModelSpec,
     contains,
-    describe_set,
     enumerate_set,
     hyperset_eq,
     product,
 )
-from .scalars import Scalar, format_scalar, invert, is_zero
+from .scalars import Scalar, invert, is_zero
 from .vectors import Vector, vector_key
 
 
@@ -102,18 +100,19 @@ def essential_points(
     return EssentialSet(tuple(sorted(set(points), key=vector_key)), complete)
 
 
-def _essential_witness_fields(pairs: list[tuple[str, object]]):
-    out = {}
-    for name, value in pairs:
-        if isinstance(value, Vector):
-            out[name] = str(value)
-        elif isinstance(value, EssentialSet):
-            out[name] = str(value)
-        elif isinstance(value, (FiniteSet, GeometricRay)):
-            out[name] = describe_set(value)
-        else:
-            out[name] = format_scalar(value)
-    return out
+_LEMMA_BASIC_ITEMS = (
+    ("unit_essential", "x is an essential point of 1 o x"),
+    ("scales_product", "a o e = (a*b) o x for every essential e of b o x, b != 0"),
+    ("negation_mirror", "essential points of (-a) o x are exactly the negated ones"),
+    (
+        "reachable",
+        "for a != 0 some essential choice y of a^-1 o x has x essential in a o y",
+    ),
+    (
+        "singleton_under_strong_normality",
+        "if the all-choices reading holds, every essential set is a singleton",
+    ),
+)
 
 
 def check_lemma_basic(
@@ -124,243 +123,108 @@ def check_lemma_basic(
     strong is the strong_normal report for the same model and config.
     """
     one = model.admit_scalar(1)
-
-    it_unit = ItemCheck("unit_essential", "x is an essential point of 1 o x")
-    it_scale = ItemCheck(
-        "scales_product", "a o e = (a*b) o x for every essential e of b o x, b != 0"
-    )
-    it_mirror = ItemCheck(
-        "negation_mirror", "essential points of (-a) o x are exactly the negated ones"
-    )
-    it_reach = ItemCheck(
-        "reachable", "for a != 0 some essential choice y of a^-1 o x has x essential in a o y"
-    )
-    it_single = ItemCheck(
-        "singleton_under_strong_normality",
-        "if the all-choices reading holds, every essential set is a singleton",
-    )
-
     strong_ok = strong.all_passed
 
-    for a, b, x in sample_stream(cfg, model.field, model.dim, 2, 1):
+    def laws(a, b, x):
         e_unit = essential_points(model, one, x, cfg.depth)
-        if x in e_unit:
-            it_unit.sample([])
-        else:
-            it_unit.sample(
-                [
-                    Witness(
-                        _essential_witness_fields([("x", x), ("E[1 o x]", e_unit)]),
-                        "x is not an essential point of 1 o x",
-                    )
-                ]
-            )
+        yield "unit_essential", x not in e_unit and Witness(
+            {"x": x, "E[1 o x]": e_unit}, "x is not an essential point of 1 o x"
+        )
 
         if not is_zero(b):
-            violations = []
             target = product(model, a * b, x)
-            for e in essential_points(model, b, x, cfg.depth):
-                swept = product(model, a, e)
-                if not hyperset_eq(swept, target):
-                    violations.append(
-                        Witness(
-                            _essential_witness_fields(
-                                [
-                                    ("a", a),
-                                    ("b", b),
-                                    ("x", x),
-                                    ("e", e),
-                                    ("a o e", swept),
-                                    ("(a*b) o x", target),
-                                ],
-                            ),
-                            "a o e differs from (a*b) o x",
-                        )
-                    )
-            it_scale.sample(violations)
+            yield "scales_product", [
+                Witness(
+                    {"a": a, "b": b, "x": x, "e": e, "a o e": swept, "(a*b) o x": target},
+                    "a o e differs from (a*b) o x",
+                )
+                for e in essential_points(model, b, x, cfg.depth)
+                if not hyperset_eq(swept := product(model, a, e), target)
+            ]
 
         e_pos = essential_points(model, a, x, cfg.depth)
         e_neg = essential_points(model, -a, x, cfg.depth)
         mirrored = tuple(sorted((-p for p in e_pos.points), key=vector_key))
-        if mirrored == e_neg.points:
-            it_mirror.sample([])
-        else:
-            it_mirror.sample(
-                [
-                    Witness(
-                        _essential_witness_fields(
-                            [("a", a), ("x", x), ("E[a o x]", e_pos), ("E[(-a) o x]", e_neg)],
-                        ),
-                        "negating the essential set does not give the essential set of the negated scalar",
-                    )
-                ]
-            )
+        yield "negation_mirror", mirrored != e_neg.points and Witness(
+            {"a": a, "x": x, "E[a o x]": e_pos, "E[(-a) o x]": e_neg},
+            "negating the essential set does not give the essential set of the negated scalar",
+        )
 
         if not is_zero(a):
             ys = essential_points(model, invert(a), x, cfg.depth)
-            ok = any(
-                x in essential_points(model, a, y, cfg.depth) for y in ys
+            reached = any(x in essential_points(model, a, y, cfg.depth) for y in ys)
+            yield "reachable", not reached and Witness(
+                {"a": a, "x": x, "E[a^-1 o x]": ys},
+                "no essential choice y of a^-1 o x makes x essential in a o y",
             )
-            if ok:
-                it_reach.sample([])
-            else:
-                it_reach.sample(
-                    [
-                        Witness(
-                            _essential_witness_fields(
-                                [("a", a), ("x", x), ("E[a^-1 o x]", ys)]
-                            ),
-                            "no essential choice y of a^-1 o x makes x essential in a o y",
-                        )
-                    ]
-                )
 
         if strong_ok:
-            if e_pos.singleton:
-                it_single.sample([])
-            else:
-                it_single.sample(
-                    [
-                        Witness(
-                            _essential_witness_fields(
-                                [("a", a), ("x", x), ("E[a o x]", e_pos)]
-                            ),
-                            "essential set is not a singleton although the all-choices reading holds",
-                        )
-                    ]
-                )
+            yield "singleton_under_strong_normality", not e_pos.singleton and Witness(
+                {"a": a, "x": x, "E[a o x]": e_pos},
+                "essential set is not a singleton although the all-choices reading holds",
+            )
 
-    return CheckReport(
-        model.describe(),
-        "lemma_basic",
-        [
-            it_unit.finish(),
-            it_scale.finish(),
-            it_mirror.finish(),
-            it_reach.finish(),
-            it_single.finish(),
-        ],
-    )
-
-
-def _sum_choices(e1: EssentialSet, e2: EssentialSet) -> list[tuple[Vector, Vector, Vector]]:
-    return [(p1, p2, p1 + p2) for p1 in e1 for p2 in e2]
+    return run_laws(model, "lemma_basic", _LEMMA_BASIC_ITEMS, cfg, (2, 1), laws)
 
 
 def check_weak_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> CheckReport:
     """Sumset reading: essential sumsets must meet the target essential set."""
     cfg = cfg or SampleConfig()
-    it_scalar = ItemCheck(
-        "scalar_condition",
-        "(E[a1 o x] + E[a2 o x]) meets E[(a1+a2) o x]",
-    )
-    it_vector = ItemCheck(
-        "vector_condition",
-        "(E[a o x1] + E[a o x2]) meets E[a o (x1+x2)]",
-    )
+    missed = "essential sumset misses the target essential set"
 
-    for a1, a2, v1, v2 in sample_stream(cfg, model.field, model.dim, 2, 2):
-        e1 = essential_points(model, a1, v1, cfg.depth)
-        e2 = essential_points(model, a2, v1, cfg.depth)
-        target = essential_points(model, a1 + a2, v1, cfg.depth)
-        sums = {s for _, _, s in _sum_choices(e1, e2)}
-        if sums & set(target.points):
-            it_scalar.sample([])
-        else:
-            it_scalar.sample(
-                [
-                    Witness(
-                        _essential_witness_fields(
-                            [
-                                ("a1", a1),
-                                ("a2", a2),
-                                ("x", v1),
-                                ("E[a1 o x]", e1),
-                                ("E[a2 o x]", e2),
-                                ("E[(a1+a2) o x]", target),
-                            ],
-                        ),
-                        "essential sumset misses the target essential set",
-                    )
-                ]
-            )
+    def laws(a1, a2, x1, x2):
+        e1 = essential_points(model, a1, x1, cfg.depth)
+        e2 = essential_points(model, a2, x1, cfg.depth)
+        target = essential_points(model, a1 + a2, x1, cfg.depth)
+        yield "scalar_condition", not any(p + q in target for p in e1 for q in e2) and Witness(
+            {
+                "a1": a1, "a2": a2, "x": x1,
+                "E[a1 o x]": e1, "E[a2 o x]": e2, "E[(a1+a2) o x]": target,
+            },
+            missed,
+        )
 
-        f2 = essential_points(model, a1, v2, cfg.depth)
-        target2 = essential_points(model, a1, v1 + v2, cfg.depth)
-        sums2 = {s for _, _, s in _sum_choices(e1, f2)}
-        if sums2 & set(target2.points):
-            it_vector.sample([])
-        else:
-            it_vector.sample(
-                [
-                    Witness(
-                        _essential_witness_fields(
-                            [
-                                ("a", a1),
-                                ("x1", v1),
-                                ("x2", v2),
-                                ("E[a o x1]", e1),
-                                ("E[a o x2]", f2),
-                                ("E[a o (x1+x2)]", target2),
-                            ],
-                        ),
-                        "essential sumset misses the target essential set",
-                    )
-                ]
-            )
+        f2 = essential_points(model, a1, x2, cfg.depth)
+        target2 = essential_points(model, a1, x1 + x2, cfg.depth)
+        yield "vector_condition", not any(p + q in target2 for p in e1 for q in f2) and Witness(
+            {
+                "a": a1, "x1": x1, "x2": x2,
+                "E[a o x1]": e1, "E[a o x2]": f2, "E[a o (x1+x2)]": target2,
+            },
+            missed,
+        )
 
-    return CheckReport(
-        model.describe(), "weak_normal", [it_scalar.finish(), it_vector.finish()]
+    items = (
+        ("scalar_condition", "(E[a1 o x] + E[a2 o x]) meets E[(a1+a2) o x]"),
+        ("vector_condition", "(E[a o x1] + E[a o x2]) meets E[a o (x1+x2)]"),
     )
+    return run_laws(model, "weak_normal", items, cfg, (2, 2), laws)
 
 
 def _strong_violations(
-    labels: tuple[str, str, str],
-    values: tuple,
-    e1: EssentialSet,
-    e2: EssentialSet,
-    target: EssentialSet,
+    given: dict, e1: EssentialSet, e2: EssentialSet, target: EssentialSet
 ) -> list[Witness]:
-    l1, l2, l3 = labels
-    violations = []
-    sums = []
-    for p1, p2, s in _sum_choices(e1, e2):
-        sums.append(s)
-        if s not in target:
-            violations.append(
-                Witness(
-                    _essential_witness_fields(
-                        [
-                            (l1, values[0]),
-                            (l2, values[1]),
-                            (l3, values[2]),
-                            ("choice1", p1),
-                            ("choice2", p2),
-                            ("sum", s),
-                            ("target", target),
-                        ],
-                    ),
-                    "sum of essential choices is not an essential point of the target",
-                )
-            )
+    """Sums of choices outside the target and, when all three sets are
+    complete, target points that no sum of choices reaches."""
+    sums = [(p1, p2, p1 + p2) for p1 in e1 for p2 in e2]
+    violations = [
+        Witness(
+            {**given, "choice1": p1, "choice2": p2, "sum": s, "target": target},
+            "sum of essential choices is not an essential point of the target",
+        )
+        for p1, p2, s in sums
+        if s not in target
+    ]
     if e1.complete and e2.complete and target.complete:
-        achievable = set(sums)
-        for t in target.points:
-            if t not in achievable:
-                violations.append(
-                    Witness(
-                        _essential_witness_fields(
-                            [
-                                (l1, values[0]),
-                                (l2, values[1]),
-                                (l3, values[2]),
-                                ("missing", t),
-                                ("target", target),
-                            ],
-                        ),
-                        "target essential point is not achievable as a sum of choices",
-                    )
-                )
+        achievable = {s for _, _, s in sums}
+        violations += [
+            Witness(
+                {**given, "missing": t, "target": target},
+                "target essential point is not achievable as a sum of choices",
+            )
+            for t in target
+            if t not in achievable
+        ]
     return violations
 
 
@@ -372,32 +236,31 @@ def check_strong_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> Ch
     nothing beyond those sums.
     """
     cfg = cfg or SampleConfig()
-    it_scalar = ItemCheck(
-        "scalar_condition",
-        "E[a1 o x] + E[a2 o x] = E[(a1+a2) o x] for every choice of summands",
-    )
-    it_vector = ItemCheck(
-        "vector_condition",
-        "E[a o x1] + E[a o x2] = E[a o (x1+x2)] for every choice of summands",
-    )
 
-    for a1, a2, v1, v2 in sample_stream(cfg, model.field, model.dim, 2, 2):
-        e1 = essential_points(model, a1, v1, cfg.depth)
-        e2 = essential_points(model, a2, v1, cfg.depth)
-        target = essential_points(model, a1 + a2, v1, cfg.depth)
-        it_scalar.sample(
-            _strong_violations(("a1", "a2", "x"), (a1, a2, v1), e1, e2, target)
+    def laws(a1, a2, x1, x2):
+        e1 = essential_points(model, a1, x1, cfg.depth)
+        e2 = essential_points(model, a2, x1, cfg.depth)
+        target = essential_points(model, a1 + a2, x1, cfg.depth)
+        yield "scalar_condition", _strong_violations(
+            {"a1": a1, "a2": a2, "x": x1}, e1, e2, target
+        )
+        f2 = essential_points(model, a1, x2, cfg.depth)
+        target2 = essential_points(model, a1, x1 + x2, cfg.depth)
+        yield "vector_condition", _strong_violations(
+            {"a": a1, "x1": x1, "x2": x2}, e1, f2, target2
         )
 
-        f2 = essential_points(model, a1, v2, cfg.depth)
-        target2 = essential_points(model, a1, v1 + v2, cfg.depth)
-        it_vector.sample(
-            _strong_violations(("a", "x1", "x2"), (a1, v1, v2), e1, f2, target2)
-        )
-
-    return CheckReport(
-        model.describe(), "strong_normal", [it_scalar.finish(), it_vector.finish()]
+    items = (
+        (
+            "scalar_condition",
+            "E[a1 o x] + E[a2 o x] = E[(a1+a2) o x] for every choice of summands",
+        ),
+        (
+            "vector_condition",
+            "E[a o x1] + E[a o x2] = E[a o (x1+x2)] for every choice of summands",
+        ),
     )
+    return run_laws(model, "strong_normal", items, cfg, (2, 2), laws)
 
 
 def check_normal_equivalence(

@@ -23,12 +23,12 @@ from typing import Union
 from .checker import (
     CheckItem,
     CheckReport,
-    ItemCheck,
     MAX_WITNESSES,
     SampleConfig,
+    Unbounded,
     Witness,
     mirror_item,
-    sample_stream,
+    run_laws,
     vacuous_report,
 )
 from .essential import essential_points
@@ -37,7 +37,6 @@ from .models import (
     HyperSet,
     ModelError,
     ModelSpec,
-    describe_set,
     enumerate_set,
     product,
 )
@@ -47,7 +46,6 @@ from .scalars import (
     abs2,
     as_real,
     conjugate,
-    format_scalar,
     imag_part,
     is_zero,
     leq_sqrt_product,
@@ -89,25 +87,21 @@ class WeightedDot:
 InnerProductSpec = Union[DotProduct, WeightedDot]
 
 
-def _weights(ip: InnerProductSpec, dim: int) -> tuple[Fraction, ...]:
-    if isinstance(ip, DotProduct):
-        return (Fraction(1),) * dim
-    if len(ip.weights) != dim:
-        raise ModelError(
-            f"weight count {len(ip.weights)} does not match dimension {dim}"
-        )
-    return ip.weights
-
-
 def pairing(ip: InnerProductSpec, x: Vector, y: Vector) -> Scalar:
     """Exact pairing value; a Fraction over Q, GaussianRational over Q[i]."""
     if x.dim != y.dim:
         raise ModelError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    total: Scalar | None = None
-    for w, cx, cy in zip(_weights(ip, x.dim), x.coords, y.coords):
-        term = w * cx * conjugate(cy)
-        total = term if total is None else total + term
-    assert total is not None
+    if isinstance(ip, WeightedDot):
+        if len(ip.weights) != x.dim:
+            raise ModelError(
+                f"weight count {len(ip.weights)} does not match dimension {x.dim}"
+            )
+        terms = [w * cx * conjugate(cy) for w, cx, cy in zip(ip.weights, x.coords, y.coords)]
+    else:
+        terms = [cx * conjugate(cy) for cx, cy in zip(x.coords, y.coords)]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
     return total
 
 
@@ -278,120 +272,49 @@ def check_real_ip_axioms(
     if ip is None or model.field is not FieldTag.Q:
         return vacuous_report(model.describe(), "real_ip", list(_REAL_IP_ITEMS))
 
-    checks = {spec[0]: ItemCheck(*spec) for spec in _REAL_IP_ITEMS}
-
-    for a, x, y, z in sample_stream(cfg, model.field, model.dim, 1, 3):
+    def laws(a, x, y, z):
         xx = as_real(pairing(ip, x, x))
         if not x.is_zero:
-            checks["positive"].sample(
-                []
-                if xx > 0
-                else [
-                    Witness(
-                        {"x": str(x), "(x,x)": str(xx)},
-                        "(x,x) is not positive for nonzero x",
-                    )
-                ]
+            yield "positive", xx <= 0 and Witness(
+                {"x": x, "(x,x)": xx}, "(x,x) is not positive for nonzero x"
             )
-        checks["definite"].sample(
-            []
-            if (xx == 0) == x.is_zero
-            else [
-                Witness(
-                    {"x": str(x), "(x,x)": str(xx)},
-                    "(x,x) = 0 does not characterize x = 0",
-                )
-            ]
+        yield "definite", (xx == 0) != x.is_zero and Witness(
+            {"x": x, "(x,x)": xx}, "(x,x) = 0 does not characterize x = 0"
         )
         lhs = pairing(ip, x + y, z)
         rhs = pairing(ip, x, z) + pairing(ip, y, z)
-        checks["additive"].sample(
-            []
-            if lhs == rhs
-            else [
-                Witness(
-                    {
-                        "x": str(x),
-                        "y": str(y),
-                        "z": str(z),
-                        "(x+y,z)": format_scalar(lhs),
-                        "(x,z)+(y,z)": format_scalar(rhs),
-                    },
-                    "additivity in the first slot fails",
-                )
-            ]
+        yield "additive", lhs != rhs and Witness(
+            {"x": x, "y": y, "z": z, "(x+y,z)": lhs, "(x,z)+(y,z)": rhs},
+            "additivity in the first slot fails",
         )
-        checks["symmetric"].sample(
-            []
-            if pairing(ip, y, x) == pairing(ip, x, y)
-            else [
-                Witness(
-                    {"x": str(x), "y": str(y)},
-                    "(y,x) differs from (x,y)",
-                )
-            ]
+        xy = pairing(ip, x, y)
+        yield "symmetric", pairing(ip, y, x) != xy and Witness(
+            {"x": x, "y": y}, "(y,x) differs from (x,y)"
         )
 
-        expected = a * pairing(ip, x, y)
+        expected = a * xy
         try:
             sup = sup_pairing(model, ip, a, x, y)
         except UnboundedSupremumError as exc:
-            checks["sup_scaling"].mark_unbounded(
-                Witness(
-                    {
-                        "a": format_scalar(a),
-                        "x": str(x),
-                        "y": str(y),
-                        "a o x": describe_set(product(model, a, x)),
-                    },
-                    f"supremum is unbounded: {exc}",
-                )
+            yield "sup_scaling", Unbounded(
+                {"a": a, "x": x, "y": y, "a o x": product(model, a, x)},
+                f"supremum is unbounded: {exc}",
             )
-            continue
+            return
+        note = "attained" if sup.attained else "not attained"
+        yield "sup_scaling", sup.value != expected and Witness(
+            {"a": a, "x": x, "y": y, "sup": f"{sup.value} ({note})", "a*(x,y)": expected},
+            "sup over a o x differs from a*(x,y)",
+        )
         if sup.value == expected:
-            checks["sup_scaling"].sample([])
             ess = essential_points(model, a, x, cfg.depth)
-            attained_at = [
-                e for e in ess if as_real(pairing(ip, e, y)) == sup.value
-            ]
-            checks["sup_attained_at_essential"].sample(
-                []
-                if attained_at
-                else [
-                    Witness(
-                        {
-                            "a": format_scalar(a),
-                            "x": str(x),
-                            "y": str(y),
-                            "sup": str(sup.value),
-                            "essential": str(ess),
-                        },
-                        "no essential point attains the supremum",
-                    )
-                ]
-            )
-        else:
-            note = "attained" if sup.attained else "not attained"
-            checks["sup_scaling"].sample(
-                [
-                    Witness(
-                        {
-                            "a": format_scalar(a),
-                            "x": str(x),
-                            "y": str(y),
-                            "sup": f"{sup.value} ({note})",
-                            "a*(x,y)": str(expected),
-                        },
-                        "sup over a o x differs from a*(x,y)",
-                    )
-                ]
+            attained = any(as_real(pairing(ip, e, y)) == sup.value for e in ess)
+            yield "sup_attained_at_essential", not attained and Witness(
+                {"a": a, "x": x, "y": y, "sup": sup.value, "essential": ess},
+                "no essential point attains the supremum",
             )
 
-    return CheckReport(
-        model.describe(),
-        "real_ip",
-        [checks[spec[0]].finish() for spec in _REAL_IP_ITEMS],
-    )
+    return run_laws(model, "real_ip", _REAL_IP_ITEMS, cfg, (1, 3), laws)
 
 
 def check_hip_axioms(
@@ -401,101 +324,45 @@ def check_hip_axioms(
     cfg = cfg or SampleConfig()
     if ip is None:
         return vacuous_report(model.describe(), "hip", list(_HIP_ITEMS))
-
-    checks = {spec[0]: ItemCheck(*spec) for spec in _HIP_ITEMS}
     one = model.admit_scalar(1)
 
-    for a, x, y, z in sample_stream(cfg, model.field, model.dim, 1, 3):
+    def laws(a, x, y, z):
         xx = pairing(ip, x, x)
         if not x.is_zero:
-            ok = imag_part(xx) == 0 and real_part(xx) > 0
-            checks["positive"].sample(
-                []
-                if ok
-                else [
-                    Witness(
-                        {"x": str(x), "(x,x)": format_scalar(xx)},
-                        "(x,x) is not real positive for nonzero x",
-                    )
-                ]
+            positive = imag_part(xx) == 0 and real_part(xx) > 0
+            yield "positive", not positive and Witness(
+                {"x": x, "(x,x)": xx}, "(x,x) is not real positive for nonzero x"
             )
-        checks["definite"].sample(
-            []
-            if (xx == 0) == x.is_zero
-            else [
-                Witness(
-                    {"x": str(x), "(x,x)": format_scalar(xx)},
-                    "(x,x) = 0 does not characterize x = 0",
-                )
-            ]
+        yield "definite", (xx == 0) != x.is_zero and Witness(
+            {"x": x, "(x,x)": xx}, "(x,x) = 0 does not characterize x = 0"
         )
-        lhs = pairing(ip, x + y, z)
-        rhs = pairing(ip, x, z) + pairing(ip, y, z)
-        checks["additive"].sample(
-            []
-            if lhs == rhs
-            else [
-                Witness(
-                    {"x": str(x), "y": str(y), "z": str(z)},
-                    "additivity in the first slot fails",
-                )
-            ]
+        additive = pairing(ip, x + y, z) == pairing(ip, x, z) + pairing(ip, y, z)
+        yield "additive", not additive and Witness(
+            {"x": x, "y": y, "z": z}, "additivity in the first slot fails"
         )
-        checks["conjugate_symmetric"].sample(
-            []
-            if pairing(ip, y, x) == conjugate(pairing(ip, x, y))
-            else [
-                Witness(
-                    {"x": str(x), "y": str(y)},
-                    "(y,x) differs from conj((x,y))",
-                )
-            ]
+        xy = pairing(ip, x, y)
+        yield "conjugate_symmetric", pairing(ip, y, x) != conjugate(xy) and Witness(
+            {"x": x, "y": y}, "(y,x) differs from conj((x,y))"
         )
 
-        expected = a * pairing(ip, x, y)
-        violations = []
-        for e in essential_points(model, a, x, cfg.depth):
-            got = pairing(ip, e, y)
-            if got != expected:
-                violations.append(
-                    Witness(
-                        {
-                            "a": format_scalar(a),
-                            "x": str(x),
-                            "y": str(y),
-                            "e": str(e),
-                            "(e,y)": format_scalar(got),
-                            "a*(x,y)": format_scalar(expected),
-                        },
-                        "(e,y) differs from a*(x,y) at an essential point",
-                    )
-                )
-        checks["essential_scaling"].sample(violations)
+        expected = a * xy
+        yield "essential_scaling", [
+            Witness(
+                {"a": a, "x": x, "y": y, "e": e, "(e,y)": got, "a*(x,y)": expected},
+                "(e,y) differs from a*(x,y) at an essential point",
+            )
+            for e in essential_points(model, a, x, cfg.depth)
+            if (got := pairing(ip, e, y)) != expected
+        ]
 
         unit_set = product(model, one, x)
         bad = _ball_violation(ip, unit_set, as_real(xx), cfg.depth)
-        checks["unit_ball_bound"].sample(
-            []
-            if bad is None
-            else [
-                Witness(
-                    {
-                        "x": str(x),
-                        "u": str(bad),
-                        "(u,u)": str(norm_sq(ip, bad)),
-                        "(x,x)": format_scalar(xx),
-                        "1 o x": describe_set(unit_set),
-                    },
-                    "element of 1 o x exceeds the length of x",
-                )
-            ]
+        yield "unit_ball_bound", bad is not None and Witness(
+            {"x": x, "u": bad, "(u,u)": norm_sq(ip, bad), "(x,x)": xx, "1 o x": unit_set},
+            "element of 1 o x exceeds the length of x",
         )
 
-    return CheckReport(
-        model.describe(),
-        "hip",
-        [checks[spec[0]].finish() for spec in _HIP_ITEMS],
-    )
+    return run_laws(model, "hip", _HIP_ITEMS, cfg, (1, 3), laws)
 
 
 def check_lemma_34(
@@ -508,77 +375,39 @@ def check_lemma_34(
     held (hip is their report for the same model and config)."""
     if ip is None:
         return vacuous_report(model.describe(), "lemma_34", list(_LEMMA_34_ITEMS))
-    precondition = hip.all_passed
-
-    checks = {spec[0]: ItemCheck(*spec) for spec in _LEMMA_34_ITEMS}
     zero = model.zero()
 
-    for a, x, y in sample_stream(cfg, model.field, model.dim, 1, 2):
-        ok_zero = is_zero(pairing(ip, zero, x)) and is_zero(pairing(ip, x, zero))
-        checks["zero_pairing"].sample(
-            []
-            if ok_zero
-            else [Witness({"x": str(x)}, "pairing against 0 is not 0")]
+    def laws(a, x, y):
+        zero_ok = is_zero(pairing(ip, zero, x)) and is_zero(pairing(ip, x, zero))
+        yield "zero_pairing", not zero_ok and Witness(
+            {"x": x}, "pairing against 0 is not 0"
         )
 
-        base = pairing(ip, x, y)
-        ok_neg = (
-            pairing(ip, -x, y) == -base and pairing(ip, x, -y) == -base
-        )
-        checks["negation"].sample(
-            []
-            if ok_neg
-            else [
-                Witness(
-                    {"x": str(x), "y": str(y), "(x,y)": format_scalar(base)},
-                    "negation does not flip the pairing sign",
-                )
-            ]
+        xy = pairing(ip, x, y)
+        negation_ok = pairing(ip, -x, y) == -xy and pairing(ip, x, -y) == -xy
+        yield "negation", not negation_ok and Witness(
+            {"x": x, "y": y, "(x,y)": xy}, "negation does not flip the pairing sign"
         )
 
-        expected = conjugate(a) * base
-        violations = []
-        for e in essential_points(model, a, y, cfg.depth):
-            got = pairing(ip, x, e)
-            if got != expected:
-                violations.append(
-                    Witness(
-                        {
-                            "a": format_scalar(a),
-                            "x": str(x),
-                            "y": str(y),
-                            "e": str(e),
-                            "(x,e)": format_scalar(got),
-                            "conj(a)*(x,y)": format_scalar(expected),
-                        },
-                        "(x,e) differs from conj(a)*(x,y) at an essential point",
-                    )
-                )
-        checks["conjugate_scaling"].sample(violations)
+        expected = conjugate(a) * xy
+        yield "conjugate_scaling", [
+            Witness(
+                {"a": a, "x": x, "y": y, "e": e, "(x,e)": got, "conj(a)*(x,y)": expected},
+                "(x,e) differs from conj(a)*(x,y) at an essential point",
+            )
+            for e in essential_points(model, a, y, cfg.depth)
+            if (got := pairing(ip, x, e)) != expected
+        ]
 
         bound = abs2(a) * norm_sq(ip, x)
         bad = _ball_violation(ip, product(model, a, x), bound, cfg.depth)
-        checks["scaled_ball_bound"].sample(
-            []
-            if bad is None
-            else [
-                Witness(
-                    {
-                        "a": format_scalar(a),
-                        "x": str(x),
-                        "u": str(bad),
-                        "(u,u)": str(norm_sq(ip, bad)),
-                        "abs2(a)*(x,x)": str(bound),
-                    },
-                    "element of a o x exceeds the scaled length bound",
-                )
-            ]
+        yield "scaled_ball_bound", bad is not None and Witness(
+            {"a": a, "x": x, "u": bad, "(u,u)": norm_sq(ip, bad), "abs2(a)*(x,x)": bound},
+            "element of a o x exceeds the scaled length bound",
         )
 
-    return CheckReport(
-        model.describe(),
-        "lemma_34",
-        [checks[spec[0]].finish(vacuous=not precondition) for spec in _LEMMA_34_ITEMS],
+    return run_laws(
+        model, "lemma_34", _LEMMA_34_ITEMS, cfg, (1, 2), laws, vacuous=not hip.all_passed
     )
 
 
@@ -600,69 +429,30 @@ def check_theorem_normal(
     """
     if ip is None:
         return vacuous_report(model.describe(), "theorem_normal", list(_THEOREM_ITEMS))
-    hip_passed = hip.all_passed
     hip_samples = max((it.samples for it in hip.items), default=0)
 
-    it_single = ItemCheck(*_THEOREM_ITEMS[0])
-    singleton_violations = 0
-    strong_ok = True
-    if hip_passed:
-        for a, x in sample_stream(cfg, model.field, model.dim, 1, 1):
-            ess = essential_points(model, a, x, cfg.depth)
-            if ess.singleton:
-                it_single.sample([])
-            else:
-                singleton_violations += 1
-                it_single.sample(
-                    [
-                        Witness(
-                            {
-                                "a": format_scalar(a),
-                                "x": str(x),
-                                "essential": str(ess),
-                            },
-                            "essential set is not a singleton",
-                        )
-                    ]
-                )
-        strong_ok = strong.all_passed
-        strong_item = mirror_item(*_THEOREM_ITEMS[1], strong)
-        single_item = it_single.finish()
-    else:
-        single_item = CheckItem(*_THEOREM_ITEMS[0], "vacuous", 0, [])
-        strong_item = CheckItem(*_THEOREM_ITEMS[1], "vacuous", 0, [])
-
-    contradiction = hip_passed and (singleton_violations > 0 or not strong_ok)
-    if contradiction:
-        consistent_item = CheckItem(
-            _THEOREM_ITEMS[2][0],
-            _THEOREM_ITEMS[2][1],
-            "fail",
-            hip_samples,
-            [
-                Witness(
-                    {
-                        "hyperinner_axioms": "pass",
-                        "essential_singletons": "fail"
-                        if singleton_violations
-                        else "pass",
-                        "strong_normality": "pass" if strong_ok else "fail",
-                    },
-                    "CONTRADICTION: the hyperinner axioms hold on these samples "
-                    "but a conclusion fails",
-                )
-            ],
-        )
-    else:
-        consistent_item = CheckItem(
-            _THEOREM_ITEMS[2][0], _THEOREM_ITEMS[2][1], "pass", hip_samples, []
+    def laws(a, x):
+        ess = essential_points(model, a, x, cfg.depth)
+        yield "essential_singletons", not ess.singleton and Witness(
+            {"a": a, "x": x, "essential": ess}, "essential set is not a singleton"
         )
 
-    return CheckReport(
-        model.describe(),
-        "theorem_normal",
-        [single_item, strong_item, consistent_item],
-    )
+    if hip.all_passed:
+        items = run_laws(model, "theorem_normal", _THEOREM_ITEMS[:1], cfg, (1, 1), laws).items
+        items.append(mirror_item(*_THEOREM_ITEMS[1], strong))
+    else:
+        items = [CheckItem(*row, "vacuous", 0, []) for row in _THEOREM_ITEMS[:2]]
+    contradiction = any(it.status == "fail" for it in items)
+    witnesses = [
+        Witness(
+            {"hyperinner_axioms": "pass", **{it.id: it.status for it in items}},
+            "CONTRADICTION: the hyperinner axioms hold on these samples "
+            "but a conclusion fails",
+        )
+    ] if contradiction else []
+    status = "fail" if contradiction else "pass"
+    items.append(CheckItem(*_THEOREM_ITEMS[2], status, hip_samples, witnesses))
+    return CheckReport(model.describe(), "theorem_normal", items)
 
 
 def check_norm_props(
@@ -680,110 +470,53 @@ def check_norm_props(
     """
     if ip is None:
         return vacuous_report(model.describe(), "norm_props", list(_NORM_ITEMS))
-    precondition = hip.all_passed
 
-    checks = {spec[0]: ItemCheck(*spec) for spec in _NORM_ITEMS[:-1]}
-
-    for a, x, y in sample_stream(cfg, model.field, model.dim, 1, 2):
+    def laws(a, x, y):
         nsx = norm_sq(ip, x)
         nsy = norm_sq(ip, y)
-        ok_def = nsx >= 0 and (nsx == 0) == x.is_zero
-        checks["definite"].sample(
-            []
-            if ok_def
-            else [
-                Witness(
-                    {"x": str(x), "nsq(x)": str(nsx)},
-                    "squared norm is negative or does not characterize 0",
-                )
-            ]
+        definite = nsx >= 0 and (nsx == 0) == x.is_zero
+        yield "definite", not definite and Witness(
+            {"x": x, "nsq(x)": nsx}, "squared norm is negative or does not characterize 0"
         )
 
-        pxy = pairing(ip, x, y)
-        checks["cauchy_schwarz"].sample(
-            []
-            if abs2(pxy) <= nsx * nsy
-            else [
-                Witness(
-                    {
-                        "x": str(x),
-                        "y": str(y),
-                        "abs2((x,y))": str(abs2(pxy)),
-                        "nsq(x)*nsq(y)": str(nsx * nsy),
-                    },
-                    "Cauchy-Schwarz fails in squared form",
-                )
-            ]
+        xy = pairing(ip, x, y)
+        yield "cauchy_schwarz", abs2(xy) > nsx * nsy and Witness(
+            {"x": x, "y": y, "abs2((x,y))": abs2(xy), "nsq(x)*nsq(y)": nsx * nsy},
+            "Cauchy-Schwarz fails in squared form",
         )
-
-        checks["triangle"].sample(
-            []
-            if leq_sqrt_product(real_part(pxy), nsx, nsy)
-            else [
-                Witness(
-                    {
-                        "x": str(x),
-                        "y": str(y),
-                        "re((x,y))": str(real_part(pxy)),
-                        "nsq(x)*nsq(y)": str(nsx * nsy),
-                    },
-                    "triangle inequality fails in squared form",
-                )
-            ]
+        yield "triangle", not leq_sqrt_product(real_part(xy), nsx, nsy) and Witness(
+            {"x": x, "y": y, "re((x,y))": real_part(xy), "nsq(x)*nsq(y)": nsx * nsy},
+            "triangle inequality fails in squared form",
         )
 
         bound = abs2(a) * nsx
-        violations = []
-        for e in essential_points(model, a, x, cfg.depth):
-            nse = norm_sq(ip, e)
-            if nse != bound:
-                violations.append(
-                    Witness(
-                        {
-                            "a": format_scalar(a),
-                            "x": str(x),
-                            "e": str(e),
-                            "nsq(e)": str(nse),
-                            "abs2(a)*nsq(x)": str(bound),
-                        },
-                        "essential point length does not scale with abs2(a)",
-                    )
-                )
-        checks["essential_scaling"].sample(violations)
+        yield "essential_scaling", [
+            Witness(
+                {"a": a, "x": x, "e": e, "nsq(e)": nse, "abs2(a)*nsq(x)": bound},
+                "essential point length does not scale with abs2(a)",
+            )
+            for e in essential_points(model, a, x, cfg.depth)
+            if (nse := norm_sq(ip, e)) != bound
+        ]
 
         s = product(model, a, x)
         try:
             sup_val, sup_vec = _sup_norm_sq(ip, s)
         except UnboundedSupremumError as exc:
-            checks["sup_scaling"].mark_unbounded(
-                Witness(
-                    {
-                        "a": format_scalar(a),
-                        "x": str(x),
-                        "a o x": describe_set(s),
-                    },
-                    f"supremum of squared norms is unbounded: {exc}",
-                )
+            yield "sup_scaling", Unbounded(
+                {"a": a, "x": x, "a o x": s},
+                f"supremum of squared norms is unbounded: {exc}",
             )
-            continue
-        checks["sup_scaling"].sample(
-            []
-            if sup_val == bound
-            else [
-                Witness(
-                    {
-                        "a": format_scalar(a),
-                        "x": str(x),
-                        "sup nsq": str(sup_val),
-                        "at": str(sup_vec),
-                        "abs2(a)*nsq(x)": str(bound),
-                    },
-                    "sup of squared norms over a o x differs from abs2(a)*nsq(x)",
-                )
-            ]
+            return
+        yield "sup_scaling", sup_val != bound and Witness(
+            {"a": a, "x": x, "sup nsq": sup_val, "at": sup_vec, "abs2(a)*nsq(x)": bound},
+            "sup of squared norms over a o x differs from abs2(a)*nsq(x)",
         )
 
-    items = [checks[spec[0]].finish(vacuous=not precondition) for spec in _NORM_ITEMS[:-1]]
+    items = run_laws(
+        model, "norm_props", _NORM_ITEMS[:-1], cfg, (1, 2), laws,
+        vacuous=not hip.all_passed,
+    ).items
     by_id = {it.id: it for it in items}
     deps = [by_id["definite"], by_id["triangle"], by_id["sup_scaling"]]
     dep_statuses = [d.status for d in deps]
@@ -801,8 +534,7 @@ def check_norm_props(
             derived_witnesses.extend(d.witnesses)
     items.append(
         CheckItem(
-            _NORM_ITEMS[-1][0],
-            _NORM_ITEMS[-1][1],
+            *_NORM_ITEMS[-1],
             status,
             max(d.samples for d in deps),
             derived_witnesses[:MAX_WITNESSES],

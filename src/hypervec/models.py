@@ -24,12 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .checker import CheckReport, ItemCheck, SampleConfig, Witness, sample_stream
+from .checker import CheckReport, SampleConfig, Witness, run_laws
 from .scalars import (
     FieldTag,
     GaussianRational,
     Scalar,
-    format_scalar,
     imag_part,
     is_zero,
     make_scalar,
@@ -52,6 +51,9 @@ class FiniteSet:
         if not self.elements:
             raise ModelError("a hyperset is never empty")
 
+    def __str__(self):
+        return "{" + ", ".join(str(v) for v in self.elements) + "}"
+
 
 @dataclass(frozen=True)
 class GeometricRay:
@@ -64,6 +66,9 @@ class GeometricRay:
         if self.base.is_zero:
             raise ModelError("ray base must be nonzero; use ray() to normalize")
         _validate_ratio(self.ratio)
+
+    def __str__(self):
+        return f"{{{self.base}*({self.ratio})^k : k >= 0}}"
 
 
 HyperSet = Union[FiniteSet, GeometricRay]
@@ -387,134 +392,62 @@ def product_of_set(model: ModelSpec, a: int | Scalar, s: HyperSet) -> HyperSet:
 
 
 def describe_set(s: HyperSet) -> str:
-    if isinstance(s, FiniteSet):
-        return "{" + ", ".join(str(v) for v in s.elements) + "}"
-    if isinstance(s, GeometricRay):
-        return f"{{{s.base}*({s.ratio})^k : k >= 0}}"
-    raise ModelError(f"unknown hyperset: {s!r}")
+    return str(s)
 
 
 # --- axiom suite ------------------------------------------------------------
+
+
+_WVS_ITEMS = (
+    ("right_distributive", "a o (x+y) meets (a o x) + (a o y)"),
+    ("left_distributive", "(a+b) o x meets (a o x) + (b o x)"),
+    ("scalar_associative", "a o (b o x) = (a*b) o x"),
+    ("negation", "a o (-x) = (-a) o x = -(a o x)"),
+    ("unit_contains", "x in 1 o x"),
+)
 
 
 def check_wvs_axioms(model: ModelSpec, cfg: SampleConfig | None = None) -> CheckReport:
     """Sample-check the five weak-space axioms with exact verdicts."""
     cfg = cfg or SampleConfig()
     one = model.admit_scalar(1)
-    it_right = ItemCheck(
-        "right_distributive", "a o (x+y) meets (a o x) + (a o y)"
-    )
-    it_left = ItemCheck(
-        "left_distributive", "(a+b) o x meets (a o x) + (b o x)"
-    )
-    it_assoc = ItemCheck("scalar_associative", "a o (b o x) = (a*b) o x")
-    it_neg = ItemCheck("negation", "a o (-x) = (-a) o x = -(a o x)")
-    it_unit = ItemCheck("unit_contains", "x in 1 o x")
+    missed = f"no common element found up to depth {cfg.depth}"
 
-    for a, b, x, y in sample_stream(cfg, model.field, model.dim, 2, 2):
+    def laws(a, b, x, y):
         ax = product(model, a, x)
         lhs = product(model, a, x + y)
         ay = product(model, a, y)
-        if sumset_meets(lhs, ax, ay, cfg.depth) is None:
-            it_right.sample(
-                [
-                    Witness(
-                        {
-                            "a": format_scalar(a),
-                            "x": str(x),
-                            "y": str(y),
-                            "left": describe_set(lhs),
-                            "right": describe_set(sumset(ax, ay, cfg.depth)),
-                        },
-                        f"no common element found up to depth {cfg.depth}",
-                    )
-                ]
-            )
-        else:
-            it_right.sample([])
+        yield "right_distributive", sumset_meets(lhs, ax, ay, cfg.depth) is None and Witness(
+            {"a": a, "x": x, "y": y, "left": lhs, "right": sumset(ax, ay, cfg.depth)},
+            missed,
+        )
 
         lhs2 = product(model, a + b, x)
         bx = product(model, b, x)
-        if sumset_meets(lhs2, ax, bx, cfg.depth) is None:
-            it_left.sample(
-                [
-                    Witness(
-                        {
-                            "a": format_scalar(a),
-                            "b": format_scalar(b),
-                            "x": str(x),
-                            "left": describe_set(lhs2),
-                            "right": describe_set(sumset(ax, bx, cfg.depth)),
-                        },
-                        f"no common element found up to depth {cfg.depth}",
-                    )
-                ]
-            )
-        else:
-            it_left.sample([])
+        yield "left_distributive", sumset_meets(lhs2, ax, bx, cfg.depth) is None and Witness(
+            {"a": a, "b": b, "x": x, "left": lhs2, "right": sumset(ax, bx, cfg.depth)},
+            missed,
+        )
 
-        inner_set = product(model, b, x)
-        swept = product_of_set(model, a, inner_set)
+        swept = product_of_set(model, a, product(model, b, x))
         direct = product(model, a * b, x)
-        if hyperset_eq(swept, direct):
-            it_assoc.sample([])
-        else:
-            it_assoc.sample(
-                [
-                    Witness(
-                        {
-                            "a": format_scalar(a),
-                            "b": format_scalar(b),
-                            "x": str(x),
-                            "swept": describe_set(swept),
-                            "direct": describe_set(direct),
-                        },
-                        "a o (b o x) differs from (a*b) o x",
-                    )
-                ]
-            )
+        yield "scalar_associative", not hyperset_eq(swept, direct) and Witness(
+            {"a": a, "b": b, "x": x, "swept": swept, "direct": direct},
+            "a o (b o x) differs from (a*b) o x",
+        )
 
         neg_arg = product(model, a, -x)
         neg_scalar = product(model, -a, x)
         neg_image = negate_set(ax)
-        if hyperset_eq(neg_arg, neg_scalar) and hyperset_eq(neg_scalar, neg_image):
-            it_neg.sample([])
-        else:
-            it_neg.sample(
-                [
-                    Witness(
-                        {
-                            "a": format_scalar(a),
-                            "x": str(x),
-                            "a o (-x)": describe_set(neg_arg),
-                            "(-a) o x": describe_set(neg_scalar),
-                            "-(a o x)": describe_set(neg_image),
-                        },
-                        "negation images disagree",
-                    )
-                ]
-            )
+        agree = hyperset_eq(neg_arg, neg_scalar) and hyperset_eq(neg_scalar, neg_image)
+        yield "negation", not agree and Witness(
+            {"a": a, "x": x, "a o (-x)": neg_arg, "(-a) o x": neg_scalar, "-(a o x)": neg_image},
+            "negation images disagree",
+        )
 
-        if contains(product(model, one, x), x):
-            it_unit.sample([])
-        else:
-            it_unit.sample(
-                [
-                    Witness(
-                        {"x": str(x), "1 o x": describe_set(product(model, one, x))},
-                        "x is not an element of 1 o x",
-                    )
-                ]
-            )
+        unit = product(model, one, x)
+        yield "unit_contains", not contains(unit, x) and Witness(
+            {"x": x, "1 o x": unit}, "x is not an element of 1 o x"
+        )
 
-    return CheckReport(
-        model.describe(),
-        "wvs_axioms",
-        [
-            it_right.finish(),
-            it_left.finish(),
-            it_assoc.finish(),
-            it_neg.finish(),
-            it_unit.finish(),
-        ],
-    )
+    return run_laws(model, "wvs_axioms", _WVS_ITEMS, cfg, (2, 2), laws)

@@ -13,18 +13,23 @@ from hypervec.checker import (
     SUITE_NAMES,
     SampleConfig,
     SplitMix64,
+    Unbounded,
     Witness,
     forced_scalars,
     forced_vectors,
     render_json,
     report_document,
+    run_laws,
     run_suites,
     sample_stream,
     vacuous_report,
 )
+from hypervec import essential, inner
+from hypervec.essential import EssentialSet
 from hypervec.inner import DotProduct
-from hypervec.models import ModelSpec, Trivial, ZeroAugmented
-from hypervec.scalars import FieldTag, GaussianRational
+from hypervec.models import ModelSpec, Trivial, ZeroAugmented, describe_set, finite, ray
+from hypervec.scalars import FieldTag, GaussianRational, format_scalar
+from hypervec.vectors import make_vector
 
 F = Fraction
 
@@ -172,6 +177,105 @@ class TestItemCheck:
         assert [x.bindings["k"] for x in item.witnesses] == ["u"]
 
 
+ROWS = (("a", "law a"), ("b", "law b"))
+SMALL = SampleConfig(samples=20)
+PLANE = ModelSpec(FieldTag.Q, 2, Trivial())
+
+
+def laws_report(body, vacuous=False):
+    """run_laws over ROWS on one scalar and one vector per sample."""
+    return run_laws(PLANE, "s", ROWS, SMALL, (1, 1), body, vacuous)
+
+
+class TestRunLaws:
+    def test_falsy_outcomes_pass(self):
+        def body(a, x):
+            yield "a", False
+            yield "a", None
+            yield "b", []
+
+        report = laws_report(body)
+        assert (report.model, report.suite) == (PLANE.describe(), "s")
+        assert [(i.id, i.anchor) for i in report.items] == list(ROWS)
+        assert [(i.status, i.samples) for i in report.items] == [("pass", 40), ("pass", 20)]
+
+    def test_single_witness_fails(self):
+        def body(a, x):
+            yield "a", x.is_zero and Witness({"a": a, "x": x}, "zero vector")
+            yield "b", False
+
+        a, b = laws_report(body).items
+        assert (a.status, a.samples, b.status) == ("fail", 20, "pass")
+        assert [w.to_json() for w in a.witnesses] == [
+            {"bindings": {"a": "0", "x": "(0, 0)"}, "relation": "zero vector"},
+            {"bindings": {"a": "1", "x": "(0, 0)"}, "relation": "zero vector"},
+            {"bindings": {"a": "-1", "x": "(0, 0)"}, "relation": "zero vector"},
+        ]
+
+    def test_witness_list_fails_with_each(self):
+        def body(a, x):
+            yield "a", [Witness({"k": k}, "listed") for k in range(3) if a == 1]
+            yield "b", []
+
+        a, b = laws_report(body).items
+        assert (a.status, a.samples, b.status) == ("fail", 20, "pass")
+        assert [w.bindings["k"] for w in a.witnesses] == ["0", "1", "2"]
+
+    def test_unbounded_outcome_marks_unbounded(self):
+        def body(a, x):
+            yield "a", a == -1 and Unbounded({"a": a}, "grows")
+            yield "b", Witness({"a": a}, "broken")
+
+        a, b = laws_report(body).items
+        assert (a.status, a.samples) == ("unbounded", 20)
+        assert [w.to_json() for w in a.witnesses] == [
+            {"bindings": {"a": "-1"}, "relation": "grows"}
+        ]
+        assert (b.status, b.samples) == ("fail", 20)
+
+    def test_unyielded_law_is_not_sampled(self):
+        def body(a, x):
+            if a != 0:
+                yield "a", False
+
+        a, b = laws_report(body).items
+        assert a.status == "pass" and 0 < a.samples < 20
+        assert (b.status, b.samples, b.witnesses) == ("vacuous", 0, [])
+
+    def test_vacuous_keeps_samples_and_unbounded_witnesses(self):
+        def body(a, x):
+            yield "a", Witness({"a": a}, "broken")
+            yield "b", Unbounded({"a": a}, "grows")
+
+        a, b = laws_report(body, vacuous=True).items
+        assert (a.status, a.samples, a.witnesses) == ("vacuous", 20, [])
+        assert (b.status, b.samples) == ("unbounded", 20)
+        assert len(b.witnesses) == MAX_WITNESSES
+        assert [w.bindings["a"] for w in b.witnesses][:3] == ["0", "1", "-1"]
+
+    def test_bindings_render_as_text_forms(self):
+        v = make_vector(FieldTag.Q, [1, F(-1, 2)])
+        pair = finite([make_vector(FieldTag.Q, [1, 0]), make_vector(FieldTag.Q, [-1, 0])])
+        rising = ray(make_vector(FieldTag.Q, [6, 0]), F(1, 2))
+        ess = EssentialSet((make_vector(FieldTag.Q, [3, 6]),), True)
+        q, g = F(-3, 4), GaussianRational(F(1, 2), F(-1, 3))
+        witness = Witness(
+            {"v": v, "pair": pair, "ray": rising, "E": ess, "q": q, "g": g}, "r"
+        )
+        assert witness.bindings == {
+            "v": "(1, -1/2)",
+            "pair": "{(-1, 0), (1, 0)}",
+            "ray": "{(6, 0)*(1/2)^k : k >= 0}",
+            "E": "{(3, 6)}",
+            "q": "-3/4",
+            "g": "1/2-1/3*i",
+        }
+        assert witness.bindings["pair"] == describe_set(pair)
+        assert witness.bindings["ray"] == describe_set(rising)
+        assert witness.bindings["q"] == format_scalar(q)
+        assert witness.bindings["g"] == format_scalar(g)
+
+
 class TestReports:
     def test_vacuous_report(self):
         rep = vacuous_report("m", "hip", [("a", "anchor a"), ("b", "anchor b")])
@@ -199,6 +303,25 @@ class TestReports:
         m = ModelSpec(FieldTag.Q, 2, ZeroAugmented())
         reports = run_suites(m, DotProduct(), fast_cfg, list(SUITE_NAMES))
         assert [r.suite for r in reports] == list(SUITE_NAMES)
+
+
+class TestSuitesWithoutInnerProduct:
+    @pytest.mark.parametrize(
+        "suite, rows",
+        [
+            ("theorem_normal", inner._THEOREM_ITEMS),
+            ("lemma_34", inner._LEMMA_34_ITEMS),
+            ("norm_props", inner._NORM_ITEMS),
+        ],
+    )
+    def test_reads_no_report(self, suite, rows, monkeypatch):
+        calls = []
+        for module, name in ((essential, "check_strong_normal"), (inner, "check_hip_axioms")):
+            monkeypatch.setattr(module, name, lambda *args, _n=name: calls.append(_n))
+        m = ModelSpec(FieldTag.Q, 2, ZeroAugmented())
+        (report,) = run_suites(m, None, SampleConfig(samples=30), [suite])
+        assert calls == []
+        assert report == vacuous_report(m.describe(), suite, list(rows))
 
 
 class TestJson:

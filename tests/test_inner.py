@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hypervec.checker import SampleConfig, run_suites
+from hypervec.checker import SampleConfig, run_suites, sample_stream
 from hypervec.essential import essential_points
 from hypervec.inner import (
     DotProduct,
@@ -90,6 +90,15 @@ class TestPairing:
             WeightedDot(())
         with pytest.raises(ModelError):
             pairing(WeightedDot((F(1),)), qv(1, 2), qv(1, 2))
+
+    @pytest.mark.parametrize("field", [FieldTag.Q, FieldTag.QI], ids=str)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_dot_is_unit_weighted_dot(self, field, dim):
+        unit = WeightedDot((1,) * dim)
+        for x, y in sample_stream(SampleConfig(samples=60), field, dim, 0, 2):
+            dot = pairing(DOT, x, y)
+            assert dot == pairing(unit, x, y)
+            assert str(dot) == str(pairing(unit, x, y))
 
     def test_dim_mismatch(self):
         with pytest.raises(ModelError):
