@@ -11,7 +11,7 @@ import importlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .scalars import FieldTag, GaussianRational, Scalar
 from .vectors import Vector, unit_vector, zero_vector
@@ -310,7 +310,12 @@ def sample_stream(
 
 
 def run_laws(
-    model, suite: str, items, cfg: SampleConfig, arity: tuple[int, int], body,
+    model,
+    suite: str,
+    items: Iterable[tuple[str, str]],
+    cfg: SampleConfig,
+    arity: tuple[int, int],
+    body: Callable[..., Iterable[tuple[str, object]]],
     vacuous: bool = False,
 ) -> CheckReport:
     """Sample the laws of one suite and report one item per (id, anchor) row.
