@@ -1,11 +1,13 @@
 """Exact scalar arithmetic over the rationals and the Gaussian rationals.
 
 Plain rationals are `fractions.Fraction` values: arbitrary precision and
-always canonical (lowest terms, positive denominator). `GaussianRational`
-layers an exact imaginary part on top. Every operation is side-effect
-free and stays inside the field; no square root is ever taken. The one
-comparison that would need a root goes through `leq_sqrt_product`, which
-decides c <= sqrt(s1*s2) by sign analysis and squaring.
+always canonical (lowest terms, positive denominator). A
+`GaussianRational` is a Gaussian integer over one positive denominator,
+held as three ints; it meets `Fraction` only at its boundary. Every
+operation is side-effect free and stays inside the field; no square
+root is ever taken. The one comparison that would need a root goes
+through `leq_sqrt_product`, which decides c <= sqrt(s1*s2) by sign
+analysis and squaring.
 
 Text forms are "p/q" for rationals and "p/q+r/s*i" for Gaussian
 rationals, whitespace-insensitive, with "i" accepted for a unit
@@ -17,6 +19,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 
@@ -31,7 +34,13 @@ class FieldTag(Enum):
 
 
 class GaussianRational:
-    """An element ``re + im*i`` of Q[i] with exact `Fraction` parts.
+    """An element ``(a + b*i)/d`` of Q[i], held as three integers.
+
+    The stored form is canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so
+    two values are equal exactly when their triples are. Arithmetic works
+    on the integers and reduces each result with one `math.gcd`;
+    `Fraction` appears only at the boundary: the constructor takes `int`
+    or `Fraction` parts, and `re`, `im` and `abs2` return Fractions.
 
     Equality and hashing agree with `Fraction` and `int` whenever the
     imaginary part is zero, mirroring Python's own numeric tower, so a
@@ -39,101 +48,143 @@ class GaussianRational:
     Fraction without surprises.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        if q == s:
+            self.a, self.b, self.d = p, r, q
+        else:
+            # p/q and r/s are in lowest terms, so over lcm(q, s) the
+            # triple is already coprime
+            g = gcd(q, s)
+            self.a, self.b, self.d = p * (s // g), r * (q // g), q * (s // g)
 
-    @staticmethod
-    def _coerce(value) -> "GaussianRational | None":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
-        return None
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a, b, d = self.a, self.b, self.d
+        c, e, f = o
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        a, b, d = self.a, self.b, self.d
+        c, e, f = o
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return other - self
+        return _canonical(*o) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self.a, self.b, self.d
+        c, e, f = o
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        denom = other.abs2()
-        if denom == 0:
-            raise ZeroDivisionError("division by zero in Q[i]")
-        num = self * other.conjugate()
-        return GaussianRational(num.re / denom, num.im / denom)
+        return _quotient(self.a, self.b, self.d, *o)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return other / self
+        return _quotient(*o, self.a, self.b, self.d)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _canonical(-self.a, -self.b, self.d)
 
     def __pos__(self):
         return self
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self.a == other.a and self.b == other.b and self.d == other.d
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self.b == 0 and self.a == other.numerator and self.d == other.denominator
         return NotImplemented
 
     def __hash__(self):
         # real-valued elements must hash like the equal Fraction
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        if self.b == 0:
+            return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.a != 0 or self.b != 0
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _canonical(self.a, -self.b, self.d)
 
     def abs2(self) -> Fraction:
-        """Squared modulus re^2 + im^2, exact and rational."""
-        return self.re * self.re + self.im * self.im
+        """Squared modulus (a^2 + b^2)/d^2, exact and rational."""
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
         return format_scalar(self)
+
+
+def _parts(x) -> tuple[int, int, int] | None:
+    """The canonical triple of a GaussianRational, int or Fraction, else None."""
+    if isinstance(x, GaussianRational):
+        return x.a, x.b, x.d
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+def _canonical(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d from a triple that already has d > 0 and gcd 1."""
+    z = object.__new__(GaussianRational)
+    z.a, z.b, z.d = a, b, d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d in canonical form; needs d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return _canonical(a // g, b // g, d // g)
+    return _canonical(a, b, d)
+
+
+def _quotient(a: int, b: int, d: int, c: int, e: int, f: int) -> GaussianRational:
+    """((a + b*i)/d) / ((c + e*i)/f) = f*(a + b*i)*(c - e*i) / (d*(c^2 + e^2))."""
+    n = c * c + e * e
+    if n == 0:
+        raise ZeroDivisionError("division by zero in Q[i]")
+    return _reduced(f * (a * c + b * e), f * (b * c - a * e), d * n)
 
 
 Scalar = Union[Fraction, GaussianRational]
@@ -169,9 +220,8 @@ def invert(a: int | Scalar) -> Scalar:
     if a == 0:
         raise ZeroDivisionError("0 has no multiplicative inverse")
     if isinstance(a, GaussianRational):
-        c = a.conjugate()
-        d = a.abs2()
-        return GaussianRational(c.re / d, c.im / d)
+        # d*(a - b*i)/(a^2 + b^2)
+        return _reduced(a.d * a.a, -a.d * a.b, a.a * a.a + a.b * a.b)
     return 1 / a
 
 
@@ -199,7 +249,7 @@ def as_real(a: int | Scalar) -> Fraction:
     """
     a = _as_scalar(a)
     if isinstance(a, GaussianRational):
-        if a.im != 0:
+        if a.b != 0:
             raise ValueError(f"scalar {format_scalar(a)} is not real")
         return a.re
     return a
@@ -279,14 +329,14 @@ def format_scalar(a: int | Scalar) -> str:
     """Canonical text form; parse_scalar(format_scalar(a)) round-trips."""
     a = _as_scalar(a)
     if isinstance(a, GaussianRational):
-        if a.im == 0:
-            return str(a.re)
-        unit = abs(a.im) == 1
-        mag = "i" if unit else f"{abs(a.im)}*i"
-        if a.re == 0:
-            return mag if a.im > 0 else f"-{mag}"
-        sign = "+" if a.im > 0 else "-"
-        return f"{a.re}{sign}{mag}"
+        x, y = a.re, a.im
+        if y == 0:
+            return str(x)
+        mag = "i" if abs(y) == 1 else f"{abs(y)}*i"
+        if x == 0:
+            return mag if y > 0 else f"-{mag}"
+        sign = "+" if y > 0 else "-"
+        return f"{x}{sign}{mag}"
     return str(a)
 
 

@@ -22,6 +22,7 @@ from hypervec.scalars import (
     parse_scalar,
     real_part,
 )
+from hypervec.vectors import Vector, vector_key
 
 G = GaussianRational
 F = Fraction
@@ -78,6 +79,116 @@ class TestGaussianOracles:
         assert 2 * G(1, 1) == G(2, 2)
         assert G(1, 1) + 1 == G(2, 1)
         assert F(1, 2) * G(2, 4) == G(1, 2)
+
+
+class FractionPair:
+    """Q[i] as a pair of Fractions: the arithmetic GaussianRational must match."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return FractionPair(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return FractionPair(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return FractionPair(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __neg__(self):
+        return FractionPair(-self.re, -self.im)
+
+    def conjugate(self):
+        return FractionPair(self.re, -self.im)
+
+    def abs2(self):
+        return self.re * self.re + self.im * self.im
+
+    def invert(self):
+        n = self.abs2()
+        return FractionPair(self.re / n, -self.im / n)
+
+    def __truediv__(self, o):
+        return self * o.invert()
+
+
+# small heights, and parts as large as 2**200
+BIG = 2**200
+lattice_parts = st.one_of(
+    rationals,
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+
+
+def assert_same(got, want: FractionPair):
+    assert isinstance(got, GaussianRational)
+    assert got.d > 0 and math.gcd(got.a, got.b, got.d) == 1
+    assert (got.re, got.im) == (want.re, want.im)
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+
+
+class TestLatticeAgainstFractionPair:
+    @given(lattice_parts, lattice_parts, lattice_parts, lattice_parts)
+    def test_arithmetic(self, p, q, r, s):
+        a, b = G(p, q), G(r, s)
+        ra, rb = FractionPair(p, q), FractionPair(r, s)
+        assert_same(a + b, ra + rb)
+        assert_same(a - b, ra - rb)
+        assert_same(a * b, ra * rb)
+        assert_same(-a, -ra)
+        assert_same(conjugate(a), ra.conjugate())
+        assert abs2(a) == ra.abs2() and type(abs2(a)) is Fraction
+        assert (real_part(a), imag_part(a)) == (p, q)
+        # one operand an int or a Fraction, on either side
+        rr = FractionPair(r)
+        assert_same(a + r, ra + rr)
+        assert_same(r - a, rr - ra)
+        assert_same(r * a, rr * ra)
+        assert_same(a * 3, ra * FractionPair(3))
+        if b:
+            assert_same(a / b, ra / rb)
+        if r:
+            assert_same(a / r, ra / rr)
+        if a:
+            assert_same(invert(a), ra.invert())
+            assert_same(r / a, rr / ra)
+        assert (a == b) == ((p, q) == (r, s))
+        assert parse_scalar(str(a), FieldTag.QI) == a
+
+    @given(lattice_parts, lattice_parts)
+    def test_real_values_agree_with_fraction_and_int(self, p, q):
+        assert G(p) == p and p == G(p) and hash(G(p)) == hash(p)
+        n = p.numerator
+        assert G(n) == n and hash(G(n)) == hash(n) == hash(F(n))
+        assert (G(p, q) == p) == (q == 0)
+        # a real value reached by arithmetic is the same dict key as its Fraction
+        a = G(p, q)
+        assert len({a * conjugate(a): 0, abs2(a): 1}) == 1
+
+    @given(st.lists(st.tuples(*[lattice_parts] * 4), min_size=1, max_size=8))
+    def test_vector_key_order(self, rows):
+        vs = [Vector((G(p, q), G(r, s))) for p, q, r, s in rows]
+        keys = [((p, q), (r, s)) for p, q, r, s in rows]
+        assert [vector_key(v) for v in vs] == keys
+        by_reference = sorted(range(len(vs)), key=keys.__getitem__)
+        assert sorted(vs, key=vector_key) == [vs[k] for k in by_reference]
+
+
+def test_gaussian_arithmetic_builds_no_fraction(monkeypatch):
+    a, b = G(F(1, 2), F(-3, 4)), G(F(5, 6), 7)
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    results = [a + b, a - b, a * b, -a, a.conjugate(), conjugate(a), a == b, a == a]
+    assert built == [] and results[-2:] == [False, True]
+    re = a.re  # the boundary still builds one
+    assert len(built) == 1 and re == F(1, 2)
 
 
 class TestFieldTagging:
