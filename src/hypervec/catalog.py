@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .checker import CheckReport, SUITE_NAMES, SampleConfig, run_suites
-from .inner import DotProduct, InnerProductSpec
+from .checker import CheckReport, SUITE_NAMES
 from .models import (
     Geometric,
     ModelSpec,
@@ -90,16 +89,3 @@ CATALOG_NOTES: dict[str, str] = {
     "sign": "two-element products; readings disagree on normality",
 }
 
-
-def run_catalog(
-    cfg: SampleConfig | None = None,
-    dim: int = 2,
-    ip: InnerProductSpec | None = None,
-) -> list[tuple[str, list[CheckReport]]]:
-    """Run every suite on every catalog model; rows in catalog order."""
-    cfg = cfg or SampleConfig()
-    ip = ip or DotProduct()
-    return [
-        (name, run_suites(model, ip, cfg, list(SUITE_NAMES)))
-        for name, model in catalog_models(dim)
-    ]

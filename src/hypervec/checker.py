@@ -216,13 +216,13 @@ class Unbounded(Witness):
 
 
 def vacuous_report(
-    model_desc: str, suite: str, items: list[tuple[str, str]]
+    model_desc: str, suite: str, items: list[tuple[str, str]], samples: int = 0
 ) -> CheckReport:
     """A report whose every item is vacuous (failed precondition)."""
     return CheckReport(
         model_desc,
         suite,
-        [CheckItem(i, anchor, "vacuous", 0, []) for i, anchor in items],
+        [CheckItem(i, anchor, "vacuous", samples, []) for i, anchor in items],
     )
 
 

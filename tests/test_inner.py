@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hypervec.checker import SampleConfig, run_suites, sample_stream
+from hypervec import inner
+from hypervec.checker import CheckReport, SampleConfig, run_suites, sample_stream
 from hypervec.essential import essential_points
 from hypervec.inner import (
     DotProduct,
@@ -15,6 +16,7 @@ from hypervec.inner import (
     WeightedDot,
     _ball_violation,
     check_hip_axioms,
+    check_lemma_34,
     check_real_ip_axioms,
     norm_sq,
     pairing,
@@ -265,6 +267,27 @@ class TestLemma34Suite:
     def test_vacuous_when_premise_fails(self, fast_cfg):
         report = run_one("lemma_34", mk(Sign()), fast_cfg)
         assert all(i.status == "vacuous" for i in report.items)
+
+    @pytest.mark.parametrize("family", [Sign(), Geometric(F(2))], ids=str)
+    def test_premise_failure_is_not_sampled(self, family, fast_cfg, monkeypatch):
+        model = mk(family)
+        hip = check_hip_axioms(model, DOT, fast_cfg)
+        assert not hip.all_passed
+        # sampled as if the premise held, every law is decided on every
+        # tuple and none is unbounded ...
+        sampled = check_lemma_34(model, DOT, fast_cfg, CheckReport("m", "hip", []))
+        assert [i.samples for i in sampled.items] == [fast_cfg.samples] * 4
+        assert all(i.status != "unbounded" for i in sampled.items)
+
+        # ... so the vacuous report is built without sampling
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("lemma_34 sampled under a failed premise")
+
+        monkeypatch.setattr(inner, "run_laws", no_sampling)
+        report = check_lemma_34(model, DOT, fast_cfg, hip)
+        assert [(i.id, i.anchor, i.status, i.samples, i.witnesses) for i in report.items] == [
+            (i.id, i.anchor, "vacuous", fast_cfg.samples, []) for i in sampled.items
+        ]
 
     def test_item_ids(self, fast_cfg):
         report = run_one("lemma_34", mk(Trivial()), fast_cfg)
