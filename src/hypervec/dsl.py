@@ -205,6 +205,16 @@ class _Parser:
             self.fail(tok, f"expected '{word}', found {tok.shown()}", expected=(word,))
         return tok
 
+    def integer(self, what: str) -> tuple[int, _Token]:
+        tok = self.expect("int", what)
+        try:
+            return int(tok.text), tok
+        except ValueError:
+            # int() refuses decimal text longer than
+            # sys.get_int_max_str_digits()
+            self.fail(tok, f"integer literal of {len(tok.text)} digits is too long")
+            raise AssertionError("unreachable")
+
     # --- grammar productions ---
 
     def model_file(self) -> ModelFile:
@@ -224,8 +234,7 @@ class _Parser:
                 expected=("Q", "Qi"),
             )
         self.expect_word("dim")
-        dim_tok = self.expect("int", "a dimension")
-        dim = int(dim_tok.text)
+        dim, dim_tok = self.integer("a dimension")
         if dim < 1:
             self.fail(dim_tok, "dimension must be at least 1")
         self.expect_word("product")
@@ -295,12 +304,10 @@ class _Parser:
         raise AssertionError("unreachable")
 
     def rational(self) -> tuple[Fraction, _Token]:
-        num_tok = self.expect("int", "a rational number")
-        num = int(num_tok.text)
+        num, num_tok = self.integer("a rational number")
         if self.peek().kind == "/":
             self.advance()
-            den_tok = self.expect("int", "a denominator")
-            den = int(den_tok.text)
+            den, den_tok = self.integer("a denominator")
             if den == 0:
                 self.fail(den_tok, "denominator must not be zero")
             if den < 0:
@@ -329,8 +336,7 @@ class _Parser:
             if key_tok.text in params:
                 self.fail(key_tok, f"duplicate parameter '{key_tok.text}'")
             self.advance()  # '='
-            val_tok = self.expect("int", "an integer value")
-            val = int(val_tok.text)
+            val, val_tok = self.integer("an integer value")
             if key_tok.text == "seed":
                 if not 0 <= val < 1 << 64:
                     self.fail(val_tok, "seed must fit in 64 unsigned bits")

@@ -101,6 +101,17 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert "line 3, column 3" in err
 
+    def test_huge_literal_exits_two_without_traceback(self):
+        path = CORPUS / "invalid" / "i16_huge_literal.hvs"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypervec", "check", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: line 1, column 45: integer literal")
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "absent.hvs")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -88,6 +88,7 @@ INVALID_EXPECTATIONS = {
     "i13_negative_weight": (1, 65, "weights must be positive"),
     "i14_unclosed_block": (5, 1, "expected '}', found end of file"),
     "i15_bad_samples": (2, 19, "samples must be at least 1"),
+    "i16_huge_literal": (1, 45, "integer literal of 5000 digits is too long"),
 }
 
 
@@ -130,6 +131,26 @@ class TestDiagnosticDetails:
         with pytest.raises(ModelFileError) as exc_info:
             parse_model_file(text % (1 << 64))
         assert "seed must fit" in exc_info.value.message
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            'model "m" {{ field Q dim {} product trivial }}',
+            'model "m" {{ field Q dim 2 product geometric({}) }}',
+            'model "m" {{ field Q dim 2 product geometric(1/{}) }}',
+            'model "m" {{ field Q dim 1 product trivial inner weighted_dot({}) }}',
+            'model "m" {{ field Q dim 1 product trivial }} check hip samples={}',
+        ],
+        ids=["dim", "numerator", "denominator", "weight", "parameter"],
+    )
+    def test_huge_integer_literal_is_located(self, template):
+        # longer than the 4,300 digits int() converts by default
+        text = template.format("7" * 5000)
+        with pytest.raises(ModelFileError) as exc_info:
+            parse_model_file(text)
+        err = exc_info.value
+        assert (err.line, err.column) == (1, text.index("7") + 1)
+        assert "integer literal of 5000 digits is too long" in err.message
 
     def test_trailing_garbage(self):
         with pytest.raises(ModelFileError) as exc_info:
