@@ -8,6 +8,7 @@ the same config produce byte-identical reports on any platform.
 from __future__ import annotations
 
 import importlib
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,10 @@ SUITE_NAMES = tuple(SUITES)
 # counterexamples stay at the head).
 MAX_WITNESSES = 5
 
+# The largest sample count a config admits: a model file or a flag
+# cannot ask for work without bound.
+MAX_SAMPLES = 100_000
+
 
 class SplitMix64:
     """SplitMix64: the public 64-bit mixing generator.
@@ -82,7 +87,9 @@ class SampleConfig:
     """Knobs for the deterministic sample stream.
 
     height bounds numerators in [-height, height] and denominators in
-    [1, height]; depth bounds enumerations of infinite sets.
+    [1, height]; samples is at most MAX_SAMPLES. depth is still accepted
+    and validated, but no report depends on it: every verdict is decided
+    exactly, without enumerating an infinite set.
     """
 
     seed: int = 42
@@ -93,8 +100,8 @@ class SampleConfig:
     def __post_init__(self):
         if not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must fit in 64 bits")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must be between 1 and {MAX_SAMPLES}")
         if self.height < 1:
             raise ValueError("height must be positive")
         if self.depth < 1:
@@ -285,22 +292,12 @@ def sample_stream(
     SplitMix64 tail fills the rest. Denominators are never zero.
     """
     count = 0
-    slots: list[list] = [forced_scalars(field)] * n_scalars
-    slots += [forced_vectors(field, dim)] * n_vectors
-    if slots:
-        indices = [0] * len(slots)
-        while count < cfg.samples:
-            yield tuple(slot[i] for slot, i in zip(slots, indices))
-            count += 1
-            pos = len(slots) - 1
-            while pos >= 0:
-                indices[pos] += 1
-                if indices[pos] < len(slots[pos]):
-                    break
-                indices[pos] = 0
-                pos -= 1
-            if pos < 0:
-                break
+    slots = [forced_scalars(field)] * n_scalars + [forced_vectors(field, dim)] * n_vectors
+    if slots:  # product() of no slots would yield one empty tuple
+        for count, sample in enumerate(
+            itertools.islice(itertools.product(*slots), cfg.samples), 1
+        ):
+            yield sample
     rng = SplitMix64(cfg.seed)
     while count < cfg.samples:
         parts = [rand_scalar(rng, field, cfg.height) for _ in range(n_scalars)]

@@ -2,7 +2,7 @@
 
 Subcommands:
     check <file> [--json PATH] [--seed N] [--samples N] [--depth N]
-    essential <file> --a SCALAR --x VECTOR [--depth N]
+    essential <file> --a SCALAR --x VECTOR
     sup <file> --a SCALAR --x VECTOR --y VECTOR
     catalog
 
@@ -28,10 +28,9 @@ from .checker import (
     report_document,
     run_suites,
 )
-from .dsl import ModelFile, ModelFileError, parse_model_file
+from .dsl import ModelFile, parse_model_file
 from .essential import essential_points
 from .inner import DotProduct, UnboundedSupremumError, sup_pairing
-from .models import ModelError
 from .scalars import parse_scalar
 from .vectors import parse_vector
 
@@ -72,6 +71,7 @@ def _print_report(report: CheckReport, out: IO[str]) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     mf = _load_model_file(args.file)
+    _effective_config({}, args)  # a bad flag exits 2 even when no directive runs
     reports: list[CheckReport] = []
     memo: dict = {}  # shared by the directives, so no report is computed twice
     for directive in mf.checks:
@@ -93,9 +93,7 @@ def _cmd_essential(args: argparse.Namespace) -> int:
     mf = _load_model_file(args.file)
     a = parse_scalar(args.a, mf.model.field)
     x = parse_vector(args.x, mf.model.field)
-    ess = essential_points(mf.model, a, x, depth=args.depth)
-    suffix = "(complete)" if ess.complete else f"(up to depth {args.depth})"
-    print(f"E = {ess} {suffix}")
+    print(f"E = {essential_points(mf.model, a, x)} (complete)")
     return 0
 
 
@@ -153,14 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--json", metavar="PATH", help="also write a JSON report")
     p_check.add_argument("--seed", type=int, help="override the sampling seed")
     p_check.add_argument("--samples", type=int, help="override the sample count")
-    p_check.add_argument("--depth", type=int, help="override the enumeration depth")
+    p_check.add_argument(
+        "--depth", type=int, help="accepted for old scripts; changes no report"
+    )
     p_check.set_defaults(func=_cmd_check)
 
     p_ess = sub.add_parser("essential", help="compute an essential-point set")
     p_ess.add_argument("file", help="path to a .hvs model file")
     p_ess.add_argument("--a", required=True, help="scalar, e.g. 3 or 1/2 or 1+1*i")
     p_ess.add_argument("--x", required=True, help="vector, e.g. \"(1, 2)\"")
-    p_ess.add_argument("--depth", type=int, default=8, help="ray enumeration depth")
     p_ess.set_defaults(func=_cmd_essential)
 
     p_sup = sub.add_parser("sup", help="supremum of the pairing over a o x")
@@ -181,10 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ModelFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ModelError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ModelError and ModelFileError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,7 @@ Grammar (whitespace-insensitive, '#' comments to end of line):
     ip       := "dot" | "weighted_dot" "(" RATIONAL ("," RATIONAL)* ")"
     check    := "check" IDENT (IDENT "=" INT)*
     RATIONAL := INT ["/" INT]
+    INT      := ["-"] ("0".."9")+
 
 Strings are double-quoted with no escape sequences. Every reported
 error, syntactic or semantic, carries a 1-based line and column plus
@@ -25,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .checker import SUITE_NAMES
+from .checker import MAX_SAMPLES, SUITE_NAMES
 from .inner import DotProduct, InnerProductSpec, WeightedDot
 from .models import (
+    MAX_DIM,
     Family,
     Geometric,
     ModelSpec,
@@ -97,6 +99,9 @@ class _Token:
 
 
 _PUNCT = "{}(),=/"
+# ASCII only: str.isdigit() also takes superscripts and other scripts'
+# digits, which int() reads differently or not at all
+_DIGITS = "0123456789"
 
 
 def _lex(text: str, lines: list[str]) -> list[_Token]:
@@ -139,9 +144,9 @@ def _lex(text: str, lines: list[str]) -> list[_Token]:
             col += j + 1 - i
             i = j + 1
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "-" and i + 1 < n and text[i + 1] in _DIGITS):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", text[i:j], start_line, start_col))
             col += j - i
@@ -237,6 +242,8 @@ class _Parser:
         dim, dim_tok = self.integer("a dimension")
         if dim < 1:
             self.fail(dim_tok, "dimension must be at least 1")
+        if dim > MAX_DIM:
+            self.fail(dim_tok, f"dimension must be at most {MAX_DIM}")
         self.expect_word("product")
         family = self.family(field)
         inner: InnerProductSpec | None = None
@@ -342,6 +349,8 @@ class _Parser:
                     self.fail(val_tok, "seed must fit in 64 unsigned bits")
             elif val < 1:
                 self.fail(val_tok, f"{key_tok.text} must be at least 1")
+            elif key_tok.text == "samples" and val > MAX_SAMPLES:
+                self.fail(val_tok, f"samples must be at most {MAX_SAMPLES}")
             params[key_tok.text] = val
         return CheckDirective(suite_tok.text, params)
 

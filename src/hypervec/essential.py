@@ -8,9 +8,9 @@ normality readings below.
 
 check_weak_normal asks only that the sumset of two essential sets meets
 the target essential set. check_strong_normal asks that every choice of
-summands lands in the target and, when all sets are complete, that the
-target holds nothing else. check_normal_equivalence compares the two
-reports and flags models where the readings disagree.
+summands lands in the target and that the target holds nothing else.
+check_normal_equivalence compares the two reports and flags models
+where the readings disagree.
 """
 
 from __future__ import annotations
@@ -79,7 +79,9 @@ def essential_points(
     is the ray from x*r^k whose elements are x*r^(k+j), and that set
     contains x only when k = j = 0. With closed_form the search uses
     that argument (and stays complete); otherwise the ray is enumerated
-    to the given depth and the result is marked incomplete.
+    to the given depth and the result is marked incomplete. Every caller
+    in the package uses the closed form, so the sets they read are
+    complete and depth does not matter.
     """
     a = model.admit_scalar(a)
     x = model.admit_vector(x)
@@ -126,7 +128,7 @@ def check_lemma_basic(
     strong_ok = strong.all_passed
 
     def laws(a, b, x):
-        e_unit = essential_points(model, one, x, cfg.depth)
+        e_unit = essential_points(model, one, x)
         yield "unit_essential", x not in e_unit and Witness(
             {"x": x, "E[1 o x]": e_unit}, "x is not an essential point of 1 o x"
         )
@@ -138,12 +140,12 @@ def check_lemma_basic(
                     {"a": a, "b": b, "x": x, "e": e, "a o e": swept, "(a*b) o x": target},
                     "a o e differs from (a*b) o x",
                 )
-                for e in essential_points(model, b, x, cfg.depth)
+                for e in essential_points(model, b, x)
                 if not hyperset_eq(swept := product(model, a, e), target)
             ]
 
-        e_pos = essential_points(model, a, x, cfg.depth)
-        e_neg = essential_points(model, -a, x, cfg.depth)
+        e_pos = essential_points(model, a, x)
+        e_neg = essential_points(model, -a, x)
         mirrored = tuple(sorted((-p for p in e_pos.points), key=vector_key))
         yield "negation_mirror", mirrored != e_neg.points and Witness(
             {"a": a, "x": x, "E[a o x]": e_pos, "E[(-a) o x]": e_neg},
@@ -151,8 +153,8 @@ def check_lemma_basic(
         )
 
         if not is_zero(a):
-            ys = essential_points(model, invert(a), x, cfg.depth)
-            reached = any(x in essential_points(model, a, y, cfg.depth) for y in ys)
+            ys = essential_points(model, invert(a), x)
+            reached = any(x in essential_points(model, a, y) for y in ys)
             yield "reachable", not reached and Witness(
                 {"a": a, "x": x, "E[a^-1 o x]": ys},
                 "no essential choice y of a^-1 o x makes x essential in a o y",
@@ -173,9 +175,9 @@ def check_weak_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> Chec
     missed = "essential sumset misses the target essential set"
 
     def laws(a1, a2, x1, x2):
-        e1 = essential_points(model, a1, x1, cfg.depth)
-        e2 = essential_points(model, a2, x1, cfg.depth)
-        target = essential_points(model, a1 + a2, x1, cfg.depth)
+        e1 = essential_points(model, a1, x1)
+        e2 = essential_points(model, a2, x1)
+        target = essential_points(model, a1 + a2, x1)
         yield "scalar_condition", not any(p + q in target for p in e1 for q in e2) and Witness(
             {
                 "a1": a1, "a2": a2, "x": x1,
@@ -184,8 +186,8 @@ def check_weak_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> Chec
             missed,
         )
 
-        f2 = essential_points(model, a1, x2, cfg.depth)
-        target2 = essential_points(model, a1, x1 + x2, cfg.depth)
+        f2 = essential_points(model, a1, x2)
+        target2 = essential_points(model, a1, x1 + x2)
         yield "vector_condition", not any(p + q in target2 for p in e1 for q in f2) and Witness(
             {
                 "a": a1, "x1": x1, "x2": x2,
@@ -204,8 +206,8 @@ def check_weak_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> Chec
 def _strong_violations(
     given: dict, e1: EssentialSet, e2: EssentialSet, target: EssentialSet
 ) -> list[Witness]:
-    """Sums of choices outside the target and, when all three sets are
-    complete, target points that no sum of choices reaches."""
+    """Sums of choices outside the target and target points that no sum
+    of choices reaches."""
     sums = [(p1, p2, p1 + p2) for p1 in e1 for p2 in e2]
     violations = [
         Witness(
@@ -215,37 +217,34 @@ def _strong_violations(
         for p1, p2, s in sums
         if s not in target
     ]
-    if e1.complete and e2.complete and target.complete:
-        achievable = {s for _, _, s in sums}
-        violations += [
-            Witness(
-                {**given, "missing": t, "target": target},
-                "target essential point is not achievable as a sum of choices",
-            )
-            for t in target
-            if t not in achievable
-        ]
-    return violations
+    achievable = {s for _, _, s in sums}
+    return violations + [
+        Witness(
+            {**given, "missing": t, "target": target},
+            "target essential point is not achievable as a sum of choices",
+        )
+        for t in target
+        if t not in achievable
+    ]
 
 
 def check_strong_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> CheckReport:
     """All-choices equality reading of normality.
 
     Every sum of essential choices must be an essential point of the
-    target, and (when all three sets are complete) the target must hold
-    nothing beyond those sums.
+    target, and the target must hold nothing beyond those sums.
     """
     cfg = cfg or SampleConfig()
 
     def laws(a1, a2, x1, x2):
-        e1 = essential_points(model, a1, x1, cfg.depth)
-        e2 = essential_points(model, a2, x1, cfg.depth)
-        target = essential_points(model, a1 + a2, x1, cfg.depth)
+        e1 = essential_points(model, a1, x1)
+        e2 = essential_points(model, a2, x1)
+        target = essential_points(model, a1 + a2, x1)
         yield "scalar_condition", _strong_violations(
             {"a1": a1, "a2": a2, "x": x1}, e1, e2, target
         )
-        f2 = essential_points(model, a1, x2, cfg.depth)
-        target2 = essential_points(model, a1, x1 + x2, cfg.depth)
+        f2 = essential_points(model, a1, x2)
+        target2 = essential_points(model, a1, x1 + x2)
         yield "vector_condition", _strong_violations(
             {"a": a1, "x1": x1, "x2": x2}, e1, f2, target2
         )

@@ -37,7 +37,6 @@ from .models import (
     HyperSet,
     ModelError,
     ModelSpec,
-    enumerate_set,
     product,
 )
 from .scalars import (
@@ -136,7 +135,7 @@ def sup_pairing(
     if isinstance(s, FiniteSet):
         best: Fraction | None = None
         best_vec: Vector | None = None
-        for u in enumerate_set(s, 1):
+        for u in s.elements:
             val = as_real(pairing(ip, u, y))
             if best is None or val > best:
                 best, best_vec = val, u
@@ -165,7 +164,7 @@ def _sup_norm_sq(ip: InnerProductSpec, s: HyperSet) -> tuple[Fraction, Vector]:
     if isinstance(s, FiniteSet):
         best: Fraction | None = None
         best_vec: Vector | None = None
-        for u in enumerate_set(s, 1):
+        for u in s.elements:
             val = norm_sq(ip, u)
             if best is None or val > best:
                 best, best_vec = val, u
@@ -179,9 +178,7 @@ def _sup_norm_sq(ip: InnerProductSpec, s: HyperSet) -> tuple[Fraction, Vector]:
     )
 
 
-def _ball_violation(
-    ip: InnerProductSpec, s: HyperSet, bound: Fraction, depth: int
-) -> Vector | None:
+def _ball_violation(ip: InnerProductSpec, s: HyperSet, bound: Fraction) -> Vector | None:
     """Some u in s with (u, u) > bound, or None when no element exceeds it.
 
     Finite shapes are exhaustive. Ray values (base, base)*ratio^(2k) are
@@ -192,7 +189,7 @@ def _ball_violation(
     ratio^2, in O(log k) exact products instead of k steps.
     """
     if isinstance(s, FiniteSet):
-        for u in enumerate_set(s, depth):
+        for u in s.elements:
             if norm_sq(ip, u) > bound:
                 return u
         return None
@@ -303,7 +300,7 @@ def check_real_ip_axioms(
             "sup over a o x differs from a*(x,y)",
         )
         if sup.value == expected:
-            ess = essential_points(model, a, x, cfg.depth)
+            ess = essential_points(model, a, x)
             attained = any(as_real(pairing(ip, e, y)) == sup.value for e in ess)
             yield "sup_attained_at_essential", not attained and Witness(
                 {"a": a, "x": x, "y": y, "sup": sup.value, "essential": ess},
@@ -347,12 +344,12 @@ def check_hip_axioms(
                 {"a": a, "x": x, "y": y, "e": e, "(e,y)": got, "a*(x,y)": expected},
                 "(e,y) differs from a*(x,y) at an essential point",
             )
-            for e in essential_points(model, a, x, cfg.depth)
+            for e in essential_points(model, a, x)
             if (got := pairing(ip, e, y)) != expected
         ]
 
         unit_set = product(model, one, x)
-        bad = _ball_violation(ip, unit_set, as_real(xx), cfg.depth)
+        bad = _ball_violation(ip, unit_set, as_real(xx))
         yield "unit_ball_bound", bad is not None and Witness(
             {"x": x, "u": bad, "(u,u)": norm_sq(ip, bad), "(x,x)": xx, "1 o x": unit_set},
             "element of 1 o x exceeds the length of x",
@@ -397,12 +394,12 @@ def check_lemma_34(
                 {"a": a, "x": x, "y": y, "e": e, "(x,e)": got, "conj(a)*(x,y)": expected},
                 "(x,e) differs from conj(a)*(x,y) at an essential point",
             )
-            for e in essential_points(model, a, y, cfg.depth)
+            for e in essential_points(model, a, y)
             if (got := pairing(ip, x, e)) != expected
         ]
 
         bound = abs2(a) * norm_sq(ip, x)
-        bad = _ball_violation(ip, product(model, a, x), bound, cfg.depth)
+        bad = _ball_violation(ip, product(model, a, x), bound)
         yield "scaled_ball_bound", bad is not None and Witness(
             {"a": a, "x": x, "u": bad, "(u,u)": norm_sq(ip, bad), "abs2(a)*(x,x)": bound},
             "element of a o x exceeds the scaled length bound",
@@ -432,7 +429,7 @@ def check_theorem_normal(
     hip_samples = max((it.samples for it in hip.items), default=0)
 
     def laws(a, x):
-        ess = essential_points(model, a, x, cfg.depth)
+        ess = essential_points(model, a, x)
         yield "essential_singletons", not ess.singleton and Witness(
             {"a": a, "x": x, "essential": ess}, "essential set is not a singleton"
         )
@@ -495,7 +492,7 @@ def check_norm_props(
                 {"a": a, "x": x, "e": e, "nsq(e)": nse, "abs2(a)*nsq(x)": bound},
                 "essential point length does not scale with abs2(a)",
             )
-            for e in essential_points(model, a, x, cfg.depth)
+            for e in essential_points(model, a, x)
             if (nse := norm_sq(ip, e)) != bound
         ]
 

@@ -4,11 +4,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypervec.checker import (
     CheckItem,
     CheckReport,
     ItemCheck,
+    MAX_SAMPLES,
     MAX_WITNESSES,
     SUITE_NAMES,
     SampleConfig,
@@ -27,7 +29,16 @@ from hypervec.checker import (
 from hypervec import essential, inner
 from hypervec.essential import EssentialSet
 from hypervec.inner import DotProduct
-from hypervec.models import ModelSpec, Trivial, ZeroAugmented, describe_set, finite, ray
+from hypervec.models import (
+    Geometric,
+    ModelSpec,
+    Sign,
+    Trivial,
+    ZeroAugmented,
+    describe_set,
+    finite,
+    ray,
+)
 from hypervec.scalars import FieldTag, GaussianRational, format_scalar
 from hypervec.vectors import make_vector
 
@@ -75,6 +86,7 @@ class TestSampleConfig:
             {"samples": 0},
             {"height": 0},
             {"depth": 0},
+            {"samples": MAX_SAMPLES + 1},
         ],
     )
     def test_validation(self, kwargs):
@@ -121,6 +133,18 @@ class TestSampleStream:
             assert len(tup) == 4
             assert isinstance(tup[0], Fraction) and isinstance(tup[1], Fraction)
             assert tup[2].dim == 3 and tup[3].dim == 3
+
+    def test_forced_prefix_is_the_product_in_order(self):
+        # the last slot turns fastest, as in nested loops
+        cfg = SampleConfig(samples=500)
+        scalars = forced_scalars(FieldTag.QI)
+        vectors = forced_vectors(FieldTag.QI, 2)
+        expected = [
+            (a, b, x, y) for a in scalars for b in scalars for x in vectors for y in vectors
+        ]
+        tuples = list(sample_stream(cfg, FieldTag.QI, 2, 2, 2))
+        assert tuples[: len(expected)] == expected
+        assert tuples[len(expected)] not in expected
 
     def test_scalars_only(self):
         cfg = SampleConfig(samples=12)
@@ -322,6 +346,34 @@ class TestSuitesWithoutInnerProduct:
         (report,) = run_suites(m, None, SampleConfig(samples=30), [suite])
         assert calls == []
         assert report == vacuous_report(m.describe(), suite, list(rows))
+
+
+FAMILIES = st.sampled_from(
+    [Trivial(), ZeroAugmented(), Sign(), Geometric(F(1, 2)), Geometric(F(2)), Geometric(F(3, 2))]
+)
+
+
+class TestDepthChangesNoReport:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        FAMILIES,
+        st.sampled_from([FieldTag.Q, FieldTag.QI]),
+        st.integers(1, 4),
+        st.integers(0, (1 << 64) - 1),
+    )
+    def test_reports_identical_at_every_depth(self, family, field, dim, seed):
+        if isinstance(family, Sign):
+            field = FieldTag.Q  # the sign family is defined over Q only
+        model = ModelSpec(field, dim, family)
+
+        def rendered(depth):
+            cfg = SampleConfig(seed=seed, samples=30, depth=depth)
+            reports = run_suites(model, DotProduct(), cfg, list(SUITE_NAMES))
+            return render_json(report_document(model.describe(), seed, reports))
+
+        expected = rendered(1)
+        for depth in (2, 8, 30):
+            assert rendered(depth) == expected
 
 
 class TestJson:

@@ -120,6 +120,25 @@ class TestCheckCommand:
         assert main(["check", hvs(CLEAN_FILE), "--samples", "0"]) == 2
         assert "samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [CLEAN_FILE, 'model "m" { field Q dim 1 product trivial }'])
+    def test_samples_flag_over_cap_exits_two(self, text, hvs, capsys):
+        assert main(["check", hvs(text), "--samples", "100001"]) == 2
+        assert "samples must be between 1 and 100000" in capsys.readouterr().err
+
+    def test_dim_over_cap_exits_two(self, capsys):
+        assert main(["check", str(CORPUS / "invalid" / "i18_dim_over_cap.hvs")]) == 2
+        assert "line 1, column 25: dimension must be at most 64" in capsys.readouterr().err
+
+    def test_depth_changes_no_report(self, hvs, tmp_path, capsys):
+        path = hvs(CLEAN_FILE.replace("samples=40", "samples=40 depth=3"))
+        texts = []
+        for depth in ("1", "30"):
+            out = tmp_path / f"r{depth}.json"
+            assert main(["check", path, "--json", str(out), "--depth", depth]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        capsys.readouterr()
+
 
 def all_suites_file(family, samples=None):
     """A catalog model over Q^2 with one directive per suite, in order."""
@@ -217,6 +236,13 @@ class TestEssentialCommand:
     def test_wrong_dim_exits_two(self, hvs, capsys):
         path = hvs('model "s" { field Q dim 2 product sign }')
         assert main(["essential", path, "--a", "1", "--x", "(1,0,0)"]) == 2
+
+    def test_depth_flag_is_gone(self, hvs, capsys):
+        path = hvs('model "g" { field Q dim 2 product geometric(1/2) }')
+        with pytest.raises(SystemExit) as exc_info:
+            main(["essential", path, "--a", "1", "--x", "(1,0)", "--depth", "3"])
+        assert exc_info.value.code == 2
+        assert "--depth" in capsys.readouterr().err
 
 
 class TestSupCommand:

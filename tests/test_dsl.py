@@ -1,9 +1,11 @@
 """Model-file grammar: corpus round-trips and positioned diagnostics."""
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypervec.dsl import (
     CheckDirective,
@@ -15,6 +17,7 @@ from hypervec.dsl import (
 from hypervec.inner import DotProduct, WeightedDot
 from hypervec.models import Geometric, ModelSpec, Sign, Trivial, ZeroAugmented
 from hypervec.scalars import FieldTag
+from hypervec.vectors import Vector
 
 F = Fraction
 CORPUS = Path(__file__).parent / "corpus"
@@ -89,6 +92,9 @@ INVALID_EXPECTATIONS = {
     "i14_unclosed_block": (5, 1, "expected '}', found end of file"),
     "i15_bad_samples": (2, 19, "samples must be at least 1"),
     "i16_huge_literal": (1, 45, "integer literal of 5000 digits is too long"),
+    "i17_unicode_digit": (1, 25, "unexpected character '²'"),
+    "i18_dim_over_cap": (1, 25, "dimension must be at most 64"),
+    "i19_samples_over_cap": (2, 19, "samples must be at most 100000"),
 }
 
 
@@ -152,6 +158,35 @@ class TestDiagnosticDetails:
         assert (err.line, err.column) == (1, text.index("7") + 1)
         assert "integer literal of 5000 digits is too long" in err.message
 
+    @pytest.mark.parametrize(
+        "digit", ["²", "٣", "７"], ids=["superscript", "arabic_indic", "fullwidth"]
+    )
+    def test_non_ascii_digit_is_an_unexpected_character(self, digit):
+        # str.isdigit() takes these, and int() reads some of them as numbers
+        for text in (
+            f'model "m" {{ field Q dim {digit} product trivial }}',
+            f'model "m" {{ field Q dim 2{digit} product trivial }}',
+        ):
+            with pytest.raises(ModelFileError) as exc_info:
+                parse_model_file(text)
+            err = exc_info.value
+            assert (err.line, err.column) == (1, text.index(digit) + 1)
+            assert err.message == f"unexpected character {digit!r}"
+
+    @pytest.mark.parametrize("stem", ["i18_dim_over_cap", "i19_samples_over_cap"])
+    def test_caps_reject_before_any_vector_is_built(self, stem, monkeypatch):
+        built = []
+        monkeypatch.setattr(Vector, "__post_init__", lambda self: built.append(self))
+        with pytest.raises(ModelFileError):
+            parse_model_file((CORPUS / "invalid" / f"{stem}.hvs").read_text(encoding="utf-8"))
+        assert built == []
+
+    def test_caps_admit_their_bounds(self):
+        mf = parse_model_file(
+            'model "m" { field Q dim 64 product trivial }\ncheck hip samples=100000'
+        )
+        assert mf.model.dim == 64 and mf.checks[0].params == {"samples": 100000}
+
     def test_trailing_garbage(self):
         with pytest.raises(ModelFileError) as exc_info:
             parse_model_file('model "m" { field Q dim 1 product trivial } 17')
@@ -179,3 +214,59 @@ class TestPrinter:
         text = format_model_file(mf)
         assert "inner" not in text
         assert "field Qi" in text
+
+
+# A lexeme of the model language, a comment, or a run of whitespace;
+# joining the pieces gives the text back.
+_PIECE = re.compile(r'"[^"\n]*"|#[^\n]*|-?[0-9]+|\w+|\s+|.', re.S)
+_VOCABULARY = [
+    *"{}(),=/%#\"", "\n", " ", "-", "\u00b2", "\u0663",
+    "model", "field", "dim", "product", "inner", "check", "Q", "Qi", "R",
+    "trivial", "zero_augmented", "geometric", "sign", "dot", "weighted_dot",
+    "seed", "samples", "depth", "height", "hip", "wvs_axioms", "frobnicate",
+    '"n"',
+]
+_NUMBERS = ["0", "-1", "2", "64", "65", "100000", "100001", str(1 << 64), "7" * 5000]
+_CORPUS_TEXTS = [p.read_text(encoding="utf-8") for p in VALID]
+
+
+@st.composite
+def mutated_corpus_files(draw):
+    """A valid corpus file with one to four pieces deleted, repeated,
+    replaced or inserted, or with one of its numbers replaced."""
+    pieces = _PIECE.findall(draw(st.sampled_from(_CORPUS_TEXTS)))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(pieces) - 1))
+        edit = draw(st.sampled_from(["delete", "repeat", "replace", "insert", "number"]))
+        if edit == "delete":
+            del pieces[i]
+        elif edit == "repeat":
+            pieces.insert(i, pieces[i])
+        elif edit == "number":
+            numbers = [j for j, piece in enumerate(pieces) if piece[-1] in "0123456789"]
+            if numbers:
+                pieces[draw(st.sampled_from(numbers))] = draw(st.sampled_from(_NUMBERS))
+        else:
+            new = draw(st.sampled_from(_VOCABULARY + _NUMBERS))
+            pieces[i : i + (edit == "replace")] = [" ", new, " "]
+    return "".join(pieces)
+
+
+class TestHostileText:
+    def assert_only_model_file_errors(self, text):
+        try:
+            mf = parse_model_file(text)
+        except ModelFileError as err:
+            assert err.line >= 1 and err.column >= 1
+        else:
+            assert parse_model_file(format_model_file(mf)) == mf
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=200))
+    def test_arbitrary_text(self, text):
+        self.assert_only_model_file_errors(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_corpus_files())
+    def test_token_mutations_of_the_valid_corpus(self, text):
+        self.assert_only_model_file_errors(text)

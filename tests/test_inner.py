@@ -166,18 +166,18 @@ class TestBallViolation:
     )
     def test_matches_walk(self, ratio, bound, base):
         s = ray(base, ratio)
-        assert _ball_violation(DOT, s, bound, 8) == ball_violation_walk(DOT, s, bound)
+        assert _ball_violation(DOT, s, bound) == ball_violation_walk(DOT, s, bound)
 
     def test_closed_forms(self):
         s = ray(qv(1, 0), F(2))
         # (u, u) = 4^k first exceeds 4 at k = 2, and 4^k = 4 does not exceed it
-        assert _ball_violation(DOT, s, F(4), 8) == qv(4, 0)
-        assert _ball_violation(DOT, s, F(1, 2), 8) == qv(1, 0)
-        assert _ball_violation(DOT, ray(qv(1, 0), F(1, 2)), F(1), 8) is None
+        assert _ball_violation(DOT, s, F(4)) == qv(4, 0)
+        assert _ball_violation(DOT, s, F(1, 2)) == qv(1, 0)
+        assert _ball_violation(DOT, ray(qv(1, 0), F(1, 2)), F(1)) is None
 
     def test_huge_bound(self):
         start = time.perf_counter()
-        u = _ball_violation(DOT, ray(qv(1, 0), F(2)), F(2) ** 40000, 8)
+        u = _ball_violation(DOT, ray(qv(1, 0), F(2)), F(2) ** 40000)
         # 4^k > 2^40000 first holds at k = 20001
         assert u == qv(2**20001, 0)
         assert time.perf_counter() - start < 1.0
