@@ -311,7 +311,7 @@ class TestAxiomSuite:
         assert rendered(report) == rendered(reference)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=str)
-    def test_missing_classical_value_raises_instead_of_failing(self, family, monkeypatch):
+    def test_missing_classical_value_raises(self, family, monkeypatch):
         model = mk(family)
         e1 = unit_vector(model.field, model.dim)
 
