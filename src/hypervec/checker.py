@@ -10,12 +10,13 @@ from __future__ import annotations
 import importlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator
 
 from .scalars import FieldTag, GaussianRational, Scalar
-from .vectors import Vector, unit_vector, zero_vector
+from .vectors import Vector, lattice_vector, unit_vector, zero_vector
 
 _MASK64 = (1 << 64) - 1
 
@@ -244,20 +245,29 @@ def mirror_item(item_id: str, anchor: str, source: CheckReport) -> CheckItem:
     return CheckItem(item_id, anchor, status, samples, witnesses[:MAX_WITNESSES])
 
 
-def _rand_fraction(rng: SplitMix64, height: int) -> Fraction:
+def _rand_ratio(rng: SplitMix64, height: int) -> tuple[int, int]:
     num = rng.below(2 * height + 1) - height
     den = rng.below(height) + 1
-    return Fraction(num, den)
+    return num, den
 
 
 def rand_scalar(rng: SplitMix64, field: FieldTag, height: int) -> Scalar:
     if field is FieldTag.Q:
-        return _rand_fraction(rng, height)
-    return GaussianRational(_rand_fraction(rng, height), _rand_fraction(rng, height))
+        return Fraction(*_rand_ratio(rng, height))
+    return GaussianRational(
+        Fraction(*_rand_ratio(rng, height)), Fraction(*_rand_ratio(rng, height))
+    )
 
 
 def rand_vector(rng: SplitMix64, field: FieldTag, dim: int, height: int) -> Vector:
-    return Vector(tuple(rand_scalar(rng, field, height) for _ in range(dim)))
+    """The vector of dim rand_scalar draws, in their order, built on ints."""
+    parts = dim if field is FieldTag.Q else 2 * dim  # real, imaginary, ...
+    ratios = [_rand_ratio(rng, height) for _ in range(parts)]
+    den = lcm(*(q for _, q in ratios))
+    nums = tuple(p * (den // q) for p, q in ratios)
+    if field is FieldTag.Q:
+        return lattice_vector(nums, None, den)
+    return lattice_vector(nums[0::2], nums[1::2], den)
 
 
 def forced_scalars(field: FieldTag) -> list[Scalar]:
@@ -361,7 +371,8 @@ def run_suites(
 
 
 def _run_suite(name: str, model, ip, cfg: SampleConfig, memo: dict) -> CheckReport:
-    key = (name, model, ip, cfg)
+    # no report depends on depth, so configs that differ only there share one
+    key = (name, model, ip, replace(cfg, depth=SampleConfig.depth))
     if key not in memo:
         module, function, reads = SUITES[name]
         # looked up at call time: these modules sit above this one in the

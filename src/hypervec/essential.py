@@ -35,7 +35,7 @@ from .models import (
     product,
 )
 from .scalars import Scalar, invert, is_zero
-from .vectors import Vector, vector_key
+from .vectors import Vector, sorted_vectors
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def essential_points(
         raise TypeError(f"unknown hyperset: {s!r}")
     inv = invert(a)
     points = [e for e in candidates if contains(product(model, inv, e), x)]
-    return EssentialSet(tuple(sorted(set(points), key=vector_key)), complete)
+    return EssentialSet(sorted_vectors(points), complete)
 
 
 _LEMMA_BASIC_ITEMS = (
@@ -146,7 +146,7 @@ def check_lemma_basic(
 
         e_pos = essential_points(model, a, x)
         e_neg = essential_points(model, -a, x)
-        mirrored = tuple(sorted((-p for p in e_pos.points), key=vector_key))
+        mirrored = sorted_vectors(-p for p in e_pos.points)
         yield "negation_mirror", mirrored != e_neg.points and Witness(
             {"a": a, "x": x, "E[a o x]": e_pos, "E[(-a) o x]": e_neg},
             "negating the essential set does not give the essential set of the negated scalar",

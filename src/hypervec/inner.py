@@ -16,8 +16,10 @@ decided exactly by leq_sqrt_product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Union
 
 from .checker import (
@@ -42,6 +44,7 @@ from .models import (
 from .scalars import (
     FieldTag,
     Scalar,
+    _reduced,
     abs2,
     as_real,
     conjugate,
@@ -67,9 +70,15 @@ class DotProduct:
 
 @dataclass(frozen=True)
 class WeightedDot:
-    """Pairing sum w_i * x_i * conj(y_i) with positive rational weights."""
+    """Pairing sum w_i * x_i * conj(y_i) with positive rational weights.
+
+    The weights are also kept as integer numerators over one
+    denominator, the form pairing computes with.
+    """
 
     weights: tuple[Fraction, ...]
+    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.weights:
@@ -78,6 +87,9 @@ class WeightedDot:
         if any(w <= 0 for w in coerced):
             raise ModelError("weights must be positive")
         object.__setattr__(self, "weights", coerced)
+        den = lcm(*(w.denominator for w in coerced))
+        object.__setattr__(self, "nums", tuple(w.numerator * (den // w.denominator) for w in coerced))
+        object.__setattr__(self, "den", den)
 
     def describe(self) -> str:
         return f"weighted_dot({', '.join(str(w) for w in self.weights)})"
@@ -87,21 +99,32 @@ InnerProductSpec = Union[DotProduct, WeightedDot]
 
 
 def pairing(ip: InnerProductSpec, x: Vector, y: Vector) -> Scalar:
-    """Exact pairing value; a Fraction over Q, GaussianRational over Q[i]."""
+    """Exact pairing value; a Fraction over Q, GaussianRational over Q[i].
+
+    Summed on the vectors' integer numerators over the product of the
+    denominators, and reduced once at the end.
+    """
     if x.dim != y.dim:
         raise ModelError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    den = x.den * y.den
+    p, q = x.nums, x.ims
     if isinstance(ip, WeightedDot):
         if len(ip.weights) != x.dim:
             raise ModelError(
                 f"weight count {len(ip.weights)} does not match dimension {x.dim}"
             )
-        terms = [w * cx * conjugate(cy) for w, cx, cy in zip(ip.weights, x.coords, y.coords)]
-    else:
-        terms = [cx * conjugate(cy) for cx, cy in zip(x.coords, y.coords)]
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total
+        den *= ip.den
+        p = tuple(map(mul, ip.nums, p))
+        q = None if q is None else tuple(map(mul, ip.nums, q))
+    r, s = y.nums, y.ims
+    if q is None and s is None:
+        return Fraction(sum(map(mul, p, r)), den)
+    zeros = (0,) * len(p)
+    q, s = q or zeros, s or zeros
+    # (p + q*i) * conj(r + s*i) = (p*r + q*s) + (q*r - p*s)*i
+    re = sum(map(mul, p, r)) + sum(map(mul, q, s))
+    im = sum(map(mul, q, r)) - sum(map(mul, p, s))
+    return _reduced(re, im, den)
 
 
 def norm_sq(ip: InnerProductSpec, x: Vector) -> Fraction:

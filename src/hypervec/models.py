@@ -20,21 +20,13 @@ Four product families are built in:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Union
 
 from .checker import CheckReport, SampleConfig, Witness, run_laws
-from .scalars import (
-    FieldTag,
-    GaussianRational,
-    Scalar,
-    imag_part,
-    is_zero,
-    make_scalar,
-    real_part,
-)
-from .vectors import Vector, vector_key, zero_vector
+from .scalars import FieldTag, Scalar, is_zero, make_scalar
+from .vectors import Vector, sorted_vectors, zero_vector
 
 
 class ModelError(ValueError):
@@ -88,8 +80,7 @@ def _validate_ratio(ratio: Fraction):
 
 def finite(vectors: Iterable[Vector]) -> FiniteSet:
     """Build a FiniteSet: deduplicate and sort for determinism."""
-    unique = sorted(set(vectors), key=vector_key)
-    return FiniteSet(tuple(unique))
+    return FiniteSet(sorted_vectors(vectors))
 
 
 def ray(base: Vector, ratio: Fraction) -> HyperSet:
@@ -149,12 +140,15 @@ class ModelSpec:
     field: FieldTag
     dim: int
     family: Family
+    # built once: zero() is asked for on every zero_augmented product
+    _zero: Vector = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or not 1 <= self.dim <= MAX_DIM:
             raise ModelError(f"dim must be an integer from 1 to {MAX_DIM}, got {self.dim!r}")
         if isinstance(self.family, Sign) and self.field is FieldTag.QI:
             raise ModelError("the sign family is defined over Q only")
+        object.__setattr__(self, "_zero", zero_vector(self.field, self.dim))
 
     def describe(self) -> str:
         return f"{family_token(self.family)} {self.field} dim={self.dim}"
@@ -170,13 +164,12 @@ class ModelSpec:
             raise ModelError(f"not a vector: {x!r}")
         if x.dim != self.dim:
             raise ModelError(f"dimension mismatch: model dim={self.dim}, got {x.dim}")
-        for c in x.coords:
-            if self.field is FieldTag.Q and isinstance(c, GaussianRational):
-                raise ModelError("field Q does not admit Gaussian coordinates")
+        if self.field is FieldTag.Q and x.ims is not None:
+            raise ModelError("field Q does not admit Gaussian coordinates")
         return x
 
     def zero(self) -> Vector:
-        return zero_vector(self.field, self.dim)
+        return self._zero
 
 
 # --- the set-valued product ------------------------------------------------
@@ -219,28 +212,28 @@ def _solve_power(t: Fraction, r: Fraction) -> int | None:
 
 
 def _ray_exponent(s: GeometricRay, v: Vector) -> int | None:
-    """Exact k with v == base * ratio^k (k >= 0), else None."""
-    if v.dim != s.base.dim:
+    """Exact k with v == base * ratio^k (k >= 0), else None.
+
+    v lies on the ray's half-line exactly when its numerators, real and
+    imaginary parts side by side, are a positive multiple of the base's:
+    every integer cross-product against one pivot component of the base
+    agrees, and the pivot components have the same sign. Only the
+    multiple itself is built as a Fraction, for _solve_power.
+    """
+    b = s.base
+    if v.dim != b.dim:
         return None
-    t: Fraction | None = None
-    for b, c in zip(s.base.coords, v.coords):
-        if b == 0:
-            if c != 0:
-                return None
-            continue
-        q = c / b
-        if imag_part(q) != 0:
-            return None
-        qr = real_part(q)
-        if qr <= 0:
-            return None
-        if t is None:
-            t = qr
-        elif t != qr:
-            return None
-    if t is None:
+    us, ws = b.nums, v.nums
+    if b.ims is not None or v.ims is not None:
+        zeros = (0,) * len(us)
+        us, ws = us + (b.ims or zeros), ws + (v.ims or zeros)
+    j = next(i for i, u in enumerate(us) if u)  # the base is nonzero
+    u0, w0 = us[j], ws[j]
+    if w0 == 0 or (w0 > 0) != (u0 > 0):
         return None
-    return _solve_power(t, s.ratio)
+    if any(w * u0 != u * w0 for u, w in zip(us, ws)):
+        return None
+    return _solve_power(Fraction(w0 * b.den, u0 * v.den), s.ratio)
 
 
 def contains(s: HyperSet, v: Vector) -> bool:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from hypervec import essential, inner
-from hypervec.checker import SUITE_NAMES
+from hypervec.checker import SUITE_NAMES, SampleConfig, render_json, report_document
 from hypervec.cli import main
 from hypervec.dsl import parse_model_file
 
@@ -179,6 +179,29 @@ class TestCheckSharesReports:
         assert max(item["samples"] for item in hip["items"]) == 30
         consistent = [i for i in theorem["items"] if i["id"] == "implication_consistent"]
         assert consistent[0]["samples"] == 60
+
+    def test_configs_differing_only_in_depth_share_one_report(
+        self, hvs, tmp_path, monkeypatch, capsys
+    ):
+        text = ('model "za" { field Q dim 2 product zero_augmented inner dot }\n'
+                "check hip samples=50 depth=3\ncheck hip samples=50 depth=4\n")
+        mf = parse_model_file(text)
+        # the report each directive gets when computed on its own
+        alone = [inner.check_hip_axioms(mf.model, mf.inner, SampleConfig(samples=50, depth=d))
+                 for d in (3, 4)]
+        calls = []
+        check = inner.check_hip_axioms
+
+        def counted(*args):
+            calls.append(args[2])
+            return check(*args)
+
+        monkeypatch.setattr(inner, "check_hip_axioms", counted)
+        out = tmp_path / "r.json"
+        assert main(["check", hvs(text), "--json", str(out)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        assert out.read_text() == render_json(report_document(mf.model.describe(), 42, alone))
 
     @pytest.mark.parametrize("family", ["trivial", "sign"])
     def test_full_run_matches_golden_report(self, family, hvs, tmp_path, capsys):

@@ -17,6 +17,7 @@ from hypervec.dsl import (
 from hypervec.inner import DotProduct, WeightedDot
 from hypervec.models import Geometric, ModelSpec, Sign, Trivial, ZeroAugmented
 from hypervec.scalars import FieldTag
+from hypervec import vectors
 from hypervec.vectors import Vector
 
 F = Fraction
@@ -175,11 +176,27 @@ class TestDiagnosticDetails:
 
     @pytest.mark.parametrize("stem", ["i18_dim_over_cap", "i19_samples_over_cap"])
     def test_caps_reject_before_any_vector_is_built(self, stem, monkeypatch):
+        # a vector is made either by Vector(coords) or, in lattice form, by
+        # vectors._canonical: record both
         built = []
-        monkeypatch.setattr(Vector, "__post_init__", lambda self: built.append(self))
+        init, canonical = Vector.__init__, vectors._canonical
+
+        def record_init(self, coords):
+            built.append(coords)
+            init(self, coords)
+
+        def record_canonical(*triple):
+            built.append(triple)
+            return canonical(*triple)
+
+        monkeypatch.setattr(Vector, "__init__", record_init)
+        monkeypatch.setattr(vectors, "_canonical", record_canonical)
         with pytest.raises(ModelFileError):
             parse_model_file((CORPUS / "invalid" / f"{stem}.hvs").read_text(encoding="utf-8"))
         assert built == []
+        # the recorders see both ways of making a vector
+        vectors.make_vector(FieldTag.Q, [1, 2]).scaled(F(1, 2))
+        assert len(built) == 2
 
     def test_caps_admit_their_bounds(self):
         mf = parse_model_file(
