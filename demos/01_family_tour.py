@@ -16,7 +16,6 @@ from hypervec import (
     Sign,
     Trivial,
     ZeroAugmented,
-    describe_set,
     enumerate_set,
     make_vector,
     product,
@@ -35,7 +34,7 @@ families = [
 for family in families:
     model = ModelSpec(FieldTag.Q, 2, family)
     s = product(model, 3, x)
-    print(f"{model.describe():26}  3 o (1, 2) = {describe_set(s)}")
+    print(f"{model.describe():26}  3 o (1, 2) = {str(s)}")
 
 # the ray is infinite; enumerate_set walks it to a chosen depth
 print()
@@ -49,7 +48,7 @@ for v in enumerate_set(s, 5):
 zero = make_vector(FieldTag.Q, [0, 0])
 for family in families:
     model = ModelSpec(FieldTag.Q, 2, family)
-    assert describe_set(product(model, 0, x)) == "{(0, 0)}"
-    assert describe_set(product(model, 3, zero)) == "{(0, 0)}"
+    assert str(product(model, 0, x)) == "{(0, 0)}"
+    assert str(product(model, 3, zero)) == "{(0, 0)}"
 print()
 print("0 o x = a o 0 = {0} everywhere, as required")

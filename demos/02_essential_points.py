@@ -15,7 +15,6 @@ from hypervec import (
     ModelSpec,
     Sign,
     ZeroAugmented,
-    describe_set,
     essential_points,
     make_vector,
     product,
@@ -26,7 +25,7 @@ x = make_vector(FieldTag.Q, [1, 2])
 # the zero-augmented family pads every product with the origin,
 # but the origin is not essential: you cannot get back to x from it
 model = ModelSpec(FieldTag.Q, 2, ZeroAugmented())
-print("3 o (1, 2)        =", describe_set(product(model, 3, x)))
+print("3 o (1, 2)        =", str(product(model, 3, x)))
 print("essential points  =", essential_points(model, 3, x))
 print()
 
@@ -34,14 +33,14 @@ print()
 # this is the family where essential sets stop being singletons
 sign = ModelSpec(FieldTag.Q, 2, Sign())
 e1 = make_vector(FieldTag.Q, [1, 0])
-print("sign: 1 o (1, 0)  =", describe_set(product(sign, 1, e1)))
+print("sign: 1 o (1, 0)  =", str(product(sign, 1, e1)))
 print("essential points  =", essential_points(sign, 1, e1))
 print()
 
 # on a geometric ray only the head survives: any deeper point e = ax r^k
 # with k > 0 would need x in inv(a) o e, and that ray only moves farther away
 ray_model = ModelSpec(FieldTag.Q, 2, Geometric(Fraction(1, 2)))
-print("ray: 2 o (3, 0)   =", describe_set(product(ray_model, 2, make_vector(FieldTag.Q, [3, 0]))))
+print("ray: 2 o (3, 0)   =", str(product(ray_model, 2, make_vector(FieldTag.Q, [3, 0]))))
 print("essential points  =", essential_points(ray_model, 2, make_vector(FieldTag.Q, [3, 0])))
 print()
 

@@ -92,7 +92,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_essential(args: argparse.Namespace) -> int:
     mf = _load_model_file(args.file)
     a = parse_scalar(args.a, mf.model.field)
-    x = parse_vector(args.x, mf.model.field)
+    x = mf.model.admit_vector(parse_vector(args.x, mf.model.field))
     print(f"E = {essential_points(mf.model, a, x)} (complete)")
     return 0
 
@@ -101,8 +101,8 @@ def _cmd_sup(args: argparse.Namespace) -> int:
     mf = _load_model_file(args.file)
     ip = mf.inner if mf.inner is not None else DotProduct()
     a = parse_scalar(args.a, mf.model.field)
-    x = parse_vector(args.x, mf.model.field)
-    y = parse_vector(args.y, mf.model.field)
+    x = mf.model.admit_vector(parse_vector(args.x, mf.model.field))
+    y = mf.model.admit_vector(parse_vector(args.y, mf.model.field))
     try:
         result = sup_pairing(mf.model, ip, a, x, y)
     except UnboundedSupremumError:

@@ -36,7 +36,6 @@ from .models import (
     Sign,
     Trivial,
     ZeroAugmented,
-    family_token,
 )
 from .scalars import FieldTag
 
@@ -367,7 +366,7 @@ def format_model_file(mf: ModelFile) -> str:
         f'model "{mf.name}" {{',
         f"  field {mf.model.field}",
         f"  dim {mf.model.dim}",
-        f"  product {family_token(mf.model.family)}",
+        f"  product {mf.model.family}",
     ]
     if mf.inner is not None:
         lines.append(f"  inner {mf.inner.describe()}")

@@ -27,7 +27,6 @@ from .checker import (
 )
 from .models import (
     FiniteSet,
-    GeometricRay,
     ModelSpec,
     contains,
     enumerate_set,
@@ -82,21 +81,18 @@ def essential_points(
     to the given depth and the result is marked incomplete. Every caller
     in the package uses the closed form, so the sets they read are
     complete and depth does not matter.
+
+    Like product, a and x must be of the model's field and dimension.
     """
-    a = model.admit_scalar(a)
-    x = model.admit_vector(x)
     if is_zero(a):
         return EssentialSet((model.zero(),), True)
     s = product(model, a, x)
     if isinstance(s, FiniteSet):
         candidates, complete = list(s.elements), True
-    elif isinstance(s, GeometricRay):
-        if closed_form:
-            candidates, complete = [s.base], True
-        else:
-            candidates, complete = enumerate_set(s, depth), False
+    elif closed_form:
+        candidates, complete = [s.base], True
     else:
-        raise TypeError(f"unknown hyperset: {s!r}")
+        candidates, complete = enumerate_set(s, depth), False
     inv = invert(a)
     points = [e for e in candidates if contains(product(model, inv, e), x)]
     return EssentialSet(sorted_vectors(points), complete)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Union
+from typing import Callable, Union
 
 from .checker import (
     CheckItem,
@@ -139,32 +139,24 @@ class SupResult:
     witness: Vector | None
 
 
-def sup_pairing(
-    model: ModelSpec, ip: InnerProductSpec, a: int | Scalar, x: Vector, y: Vector
-) -> SupResult:
-    """sup of (z, y) over z in a o x, exactly.
+def _sup(s: HyperSet, f: Callable[[Vector], Fraction], exponent: str) -> SupResult:
+    """sup of f(u) over u in s, exactly, with f evaluated once per element.
 
-    Real field only. Over a ray the values are c*ratio^k with
-    c = (base, y): monotone in k, so the sup is c at k = 0 when the
-    sequence decreases, the unattained limit 0 when it climbs toward 0
-    from below, and unbounded when c > 0 and the ratio exceeds 1.
+    A finite shape takes its first maximum. Along a ray f is
+    c*ratio^exponent with c = f(base) (exponent "k" for a pairing
+    against a fixed vector, "(2k)" for a squared norm): monotone in k,
+    so the sup is c at k = 0 when the sequence decreases, the
+    unattained limit 0 when it climbs toward 0 from below, and
+    unbounded when c > 0 and the ratio exceeds 1.
     """
-    if model.field is not FieldTag.Q:
-        raise ModelError("sup_pairing is defined over the real field only")
-    if ip is None:
-        raise ModelError("sup_pairing needs an inner product")
-    y = model.admit_vector(y)
-    s = product(model, a, x)
     if isinstance(s, FiniteSet):
-        best: Fraction | None = None
-        best_vec: Vector | None = None
+        best, best_vec = None, None
         for u in s.elements:
-            val = as_real(pairing(ip, u, y))
+            val = f(u)
             if best is None or val > best:
                 best, best_vec = val, u
-        assert best is not None and best_vec is not None
         return SupResult(best, True, best_vec)
-    c = as_real(pairing(ip, s.base, y))
+    c = f(s.base)
     if c == 0:
         return SupResult(Fraction(0), True, s.base)
     if s.ratio < 1:
@@ -173,32 +165,24 @@ def sup_pairing(
         return SupResult(Fraction(0), False, None)
     if c > 0:
         raise UnboundedSupremumError(
-            f"values {c}*({s.ratio})^k grow without bound"
+            f"values {c}*({s.ratio})^{exponent} grow without bound"
         )
     return SupResult(c, True, s.base)
 
 
-def _sup_norm_sq(ip: InnerProductSpec, s: HyperSet) -> tuple[Fraction, Vector]:
-    """sup of (u, u) over u in s, with an attaining element.
+def sup_pairing(
+    model: ModelSpec, ip: InnerProductSpec, a: int | Scalar, x: Vector, y: Vector
+) -> SupResult:
+    """sup of (z, y) over z in a o x, exactly (see _sup).
 
-    Rays with ratio > 1 are unbounded (base is nonzero and the pairing
-    is positive definite) and raise UnboundedSupremumError.
+    Real field only. Like product, a, x and y must be of the model's
+    field and dimension.
     """
-    if isinstance(s, FiniteSet):
-        best: Fraction | None = None
-        best_vec: Vector | None = None
-        for u in s.elements:
-            val = norm_sq(ip, u)
-            if best is None or val > best:
-                best, best_vec = val, u
-        assert best is not None and best_vec is not None
-        return best, best_vec
-    base_sq = norm_sq(ip, s.base)
-    if base_sq == 0 or s.ratio < 1:
-        return base_sq, s.base
-    raise UnboundedSupremumError(
-        f"values {base_sq}*({s.ratio})^(2k) grow without bound"
-    )
+    if model.field is not FieldTag.Q:
+        raise ModelError("sup_pairing is defined over the real field only")
+    if ip is None:
+        raise ModelError("sup_pairing needs an inner product")
+    return _sup(product(model, a, x), lambda u: as_real(pairing(ip, u, y)), "k")
 
 
 def _ball_violation(ip: InnerProductSpec, s: HyperSet, bound: Fraction) -> Vector | None:
@@ -521,15 +505,15 @@ def check_norm_props(
 
         s = product(model, a, x)
         try:
-            sup_val, sup_vec = _sup_norm_sq(ip, s)
+            sup = _sup(s, lambda u: norm_sq(ip, u), "(2k)")
         except UnboundedSupremumError as exc:
             yield "sup_scaling", Unbounded(
                 {"a": a, "x": x, "a o x": s},
                 f"supremum of squared norms is unbounded: {exc}",
             )
             return
-        yield "sup_scaling", sup_val != bound and Witness(
-            {"a": a, "x": x, "sup nsq": sup_val, "at": sup_vec, "abs2(a)*nsq(x)": bound},
+        yield "sup_scaling", sup.value != bound and Witness(
+            {"a": a, "x": x, "sup nsq": sup.value, "at": sup.witness, "abs2(a)*nsq(x)": bound},
             "sup of squared norms over a o x differs from abs2(a)*nsq(x)",
         )
 

@@ -85,23 +85,39 @@ def finite(vectors: Iterable[Vector]) -> FiniteSet:
 
 def ray(base: Vector, ratio: Fraction) -> HyperSet:
     """Geometric ray from base; a zero base collapses to {0}."""
-    _validate_ratio(ratio)
     if base.is_zero:
+        _validate_ratio(ratio)  # GeometricRay checks it otherwise
         return finite([base])
     return GeometricRay(base, ratio)
 
 
 # --- families -------------------------------------------------------------
+#
+# str(family) is its token in the model-file language, and
+# family.apply(ax, zero) is the set a o x built from the classical value
+# ax = a*x and the model's zero vector.
 
 
 @dataclass(frozen=True)
 class Trivial:
     """a o x = {a*x}: the classical single-valued product."""
 
+    def __str__(self):
+        return "trivial"
+
+    def apply(self, ax: Vector, zero: Vector) -> HyperSet:
+        return finite([ax])
+
 
 @dataclass(frozen=True)
 class ZeroAugmented:
     """a o x = {a*x, 0}: the classical product with 0 adjoined."""
+
+    def __str__(self):
+        return "zero_augmented"
+
+    def apply(self, ax: Vector, zero: Vector) -> HyperSet:
+        return finite([ax, zero])
 
 
 @dataclass(frozen=True)
@@ -114,25 +130,25 @@ class Geometric:
         object.__setattr__(self, "ratio", Fraction(self.ratio))
         _validate_ratio(self.ratio)
 
+    def __str__(self):
+        return f"geometric({self.ratio})"
+
+    def apply(self, ax: Vector, zero: Vector) -> HyperSet:
+        return ray(ax, self.ratio)
+
 
 @dataclass(frozen=True)
 class Sign:
     """a o x = {a*x, -a*x}. Defined over Q only."""
 
+    def __str__(self):
+        return "sign"
+
+    def apply(self, ax: Vector, zero: Vector) -> HyperSet:
+        return finite([ax, -ax])
+
 
 Family = Union[Trivial, ZeroAugmented, Geometric, Sign]
-
-
-def family_token(family: Family) -> str:
-    if isinstance(family, Trivial):
-        return "trivial"
-    if isinstance(family, ZeroAugmented):
-        return "zero_augmented"
-    if isinstance(family, Geometric):
-        return f"geometric({family.ratio})"
-    if isinstance(family, Sign):
-        return "sign"
-    raise ModelError(f"unknown family: {family!r}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +156,7 @@ class ModelSpec:
     field: FieldTag
     dim: int
     family: Family
-    # built once: zero() is asked for on every zero_augmented product
+    # built once: every product asks for it
     _zero: Vector = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -151,7 +167,7 @@ class ModelSpec:
         object.__setattr__(self, "_zero", zero_vector(self.field, self.dim))
 
     def describe(self) -> str:
-        return f"{family_token(self.family)} {self.field} dim={self.dim}"
+        return f"{self.family} {self.field} dim={self.dim}"
 
     def admit_scalar(self, a: int | Scalar) -> Scalar:
         try:
@@ -176,20 +192,12 @@ class ModelSpec:
 
 
 def product(model: ModelSpec, a: int | Scalar, x: Vector) -> HyperSet:
-    """The model's set-valued product a o x."""
-    a = model.admit_scalar(a)
-    x = model.admit_vector(x)
-    ax = x.scaled(a)
-    fam = model.family
-    if isinstance(fam, Trivial):
-        return finite([ax])
-    if isinstance(fam, ZeroAugmented):
-        return finite([ax, model.zero()])
-    if isinstance(fam, Geometric):
-        return ray(ax, fam.ratio)
-    if isinstance(fam, Sign):
-        return finite([ax, -ax])
-    raise ModelError(f"unknown family: {fam!r}")
+    """The model's set-valued product a o x.
+
+    a and x must be of the model's field and dimension; values from
+    outside go through ModelSpec.admit_scalar/admit_vector first.
+    """
+    return model.family.apply(x.scaled(a), model.zero())
 
 
 def _solve_power(t: Fraction, r: Fraction) -> int | None:
@@ -240,10 +248,8 @@ def contains(s: HyperSet, v: Vector) -> bool:
     """Exact membership for every shape."""
     if isinstance(s, FiniteSet):
         return v in s.elements
-    if isinstance(s, GeometricRay):
-        # the base is the element asked for most: a*x in a o x
-        return v == s.base or _ray_exponent(s, v) is not None
-    raise ModelError(f"unknown hyperset: {s!r}")
+    # the base is the element asked for most: a*x in a o x
+    return v == s.base or _ray_exponent(s, v) is not None
 
 
 def enumerate_set(s: HyperSet, depth: int) -> list[Vector]:
@@ -252,33 +258,27 @@ def enumerate_set(s: HyperSet, depth: int) -> list[Vector]:
         raise ModelError("depth must be positive")
     if isinstance(s, FiniteSet):
         return list(s.elements)
-    if isinstance(s, GeometricRay):
-        return [s.base.scaled(s.ratio**k) for k in range(depth)]
-    raise ModelError(f"unknown hyperset: {s!r}")
+    return [s.base.scaled(s.ratio**k) for k in range(depth)]
 
 
 def hyperset_eq(s1: HyperSet, s2: HyperSet) -> bool:
     """Exact set equality across shapes.
 
-    A ray is infinite (base nonzero, ratio != 1 make all elements
-    distinct), so it never equals a finite shape, and a ray determines
-    its (base, ratio) pair uniquely: base is the extreme element and
-    base*ratio the next one.
+    Both shapes are canonical, so set equality is equality of the
+    frozen shapes: a FiniteSet's elements are sorted and distinct, a ray
+    is infinite (base nonzero, ratio != 1 make all elements distinct) so
+    it never equals a finite shape, and a ray determines its (base,
+    ratio) pair uniquely: base is the extreme element and base*ratio
+    the next one.
     """
-    if isinstance(s1, GeometricRay) or isinstance(s2, GeometricRay):
-        if isinstance(s1, GeometricRay) and isinstance(s2, GeometricRay):
-            return s1.base == s2.base and s1.ratio == s2.ratio
-        return False
-    return frozenset(s1.elements) == frozenset(s2.elements)
+    return s1 == s2
 
 
 def negate_set(s: HyperSet) -> HyperSet:
     """The image of a hyperset under negation."""
     if isinstance(s, FiniteSet):
         return finite([-v for v in s.elements])
-    if isinstance(s, GeometricRay):
-        return GeometricRay(-s.base, s.ratio)
-    raise ModelError(f"unknown hyperset: {s!r}")
+    return GeometricRay(-s.base, s.ratio)
 
 
 def sumset(s1: HyperSet, s2: HyperSet, depth: int) -> FiniteSet:
@@ -320,7 +320,7 @@ def intersect_nonempty(s1: HyperSet, s2: HyperSet, depth: int) -> Vector | None:
 def _union(parts: list[HyperSet]) -> HyperSet:
     distinct: list[HyperSet] = []
     for p in parts:
-        if not any(hyperset_eq(p, q) for q in distinct):
+        if p not in distinct:
             distinct.append(p)
     if len(distinct) == 1:
         return distinct[0]
@@ -341,25 +341,19 @@ def product_of_set(model: ModelSpec, a: int | Scalar, s: HyperSet) -> HyperSet:
     """Exact union of a o y over y in s.
 
     Shapes must come from the same model family; a mix the family cannot
-    reproduce raises ModelError.
+    reproduce raises ModelError. Like product, a and s must be of the
+    model's field and dimension.
     """
-    a = model.admit_scalar(a)
     if isinstance(s, FiniteSet):
         return _union([product(model, a, v) for v in s.elements])
-    if isinstance(s, GeometricRay):
-        if is_zero(a):
-            return finite([model.zero()])
-        head = product(model, a, s.base)
-        # a o (base*r^j) sweeps exponents j + k >= j, so the union over
-        # j >= 0 is exactly the ray from a*base
-        if isinstance(head, GeometricRay) and head.ratio == s.ratio:
-            return head
-        raise ModelError("ray input does not match this family's product")
-    raise ModelError(f"unknown hyperset: {s!r}")
-
-
-def describe_set(s: HyperSet) -> str:
-    return str(s)
+    if is_zero(a):
+        return finite([model.zero()])
+    head = product(model, a, s.base)
+    # a o (base*r^j) sweeps exponents j + k >= j, so the union over
+    # j >= 0 is exactly the ray from a*base
+    if isinstance(head, GeometricRay) and head.ratio == s.ratio:
+        return head
+    raise ModelError("ray input does not match this family's product")
 
 
 # --- axiom suite ------------------------------------------------------------

@@ -1,10 +1,19 @@
+import os
 import time
+from pathlib import Path
 
 import pytest
 
 from hypervec import SUITE_NAMES, SampleConfig, run_suites
 from hypervec.catalog import catalog_models
 from hypervec.inner import DotProduct
+
+# pyproject.toml's pytest `pythonpath` puts src on this process's path
+# only; the tests that start `python -m hypervec` need it there too.
+_SRC = str(Path(__file__).parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture(scope="session")

@@ -27,15 +27,15 @@ from hypervec.checker import (
     vacuous_report,
 )
 from hypervec import essential, inner
-from hypervec.essential import EssentialSet
-from hypervec.inner import DotProduct
+from hypervec.essential import EssentialSet, check_lemma_basic, check_strong_normal
+from hypervec.inner import DotProduct, check_hip_axioms
 from hypervec.models import (
     Geometric,
     ModelSpec,
     Sign,
     Trivial,
     ZeroAugmented,
-    describe_set,
+    check_wvs_axioms,
     finite,
     ray,
 )
@@ -155,6 +155,23 @@ class TestSampleStream:
 
 def w(tag):
     return Witness({"k": tag}, "broken")
+
+
+class TestSampledValuesAreNotAdmitted:
+    @pytest.mark.parametrize("family", [Geometric(F(1, 2)), Sign()], ids=str)
+    def test_suites_admit_no_vector(self, family, fast_cfg, monkeypatch):
+        # sample_stream builds every value in the model's field and
+        # dimension, so nothing on the sampled path admits it again
+        calls = []
+        admit = ModelSpec.admit_vector
+        monkeypatch.setattr(
+            ModelSpec, "admit_vector", lambda self, x: calls.append(x) or admit(self, x)
+        )
+        model = ModelSpec(FieldTag.Q, 2, family)
+        check_wvs_axioms(model, fast_cfg)
+        check_lemma_basic(model, fast_cfg, check_strong_normal(model, fast_cfg))
+        check_hip_axioms(model, DotProduct(), fast_cfg)
+        assert len(calls) == 0
 
 
 class TestItemCheck:
@@ -294,8 +311,8 @@ class TestRunLaws:
             "q": "-3/4",
             "g": "1/2-1/3*i",
         }
-        assert witness.bindings["pair"] == describe_set(pair)
-        assert witness.bindings["ray"] == describe_set(rising)
+        assert witness.bindings["pair"] == str(pair)
+        assert witness.bindings["ray"] == str(rising)
         assert witness.bindings["q"] == format_scalar(q)
         assert witness.bindings["g"] == format_scalar(g)
 

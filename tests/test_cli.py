@@ -289,6 +289,14 @@ class TestSupCommand:
         assert main(["sup", path, "--a", "2", "--x", "(1,2)", "--y", "(1,0)"]) == 0
         assert capsys.readouterr().out == "sup = 2 (attained at (2, 4))\n"
 
+    @pytest.mark.parametrize("flag", ["--x", "--y"])
+    def test_wrong_dim_exits_two(self, flag, hvs, capsys):
+        path = hvs('model "t" { field Q dim 2 product trivial inner dot }')
+        values = {"--a": "1", "--x": "(1,0)", "--y": "(1,0)", flag: "(1,0,0)"}
+        assert main(["sup", path, *(t for kv in values.items() for t in kv)]) == 2
+        # the message of ModelSpec.admit_vector: the CLI admits the vector
+        assert "dimension mismatch: model dim=2, got 3" in capsys.readouterr().err
+
     def test_complex_field_exits_two(self, hvs, capsys):
         path = hvs('model "t" { field Qi dim 1 product trivial inner dot }')
         assert main(["sup", path, "--a", "1", "--x", "(1)", "--y", "(1)"]) == 2
