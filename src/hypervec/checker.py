@@ -12,6 +12,7 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Iterator
 
@@ -109,18 +110,23 @@ class SampleConfig:
             raise ValueError("depth must be positive")
 
 
-@dataclass
 class Witness:
     """One concrete violation: named exact values plus the relation broken.
 
-    Each binding is kept as its text form, str(value).
+    The values are kept as given and turned into text, str(value), the
+    first time bindings is read, so a witness that no report keeps is
+    never rendered. The values are immutable (scalars, vectors, sets,
+    text), so the text does not depend on when it is rendered.
     """
 
-    bindings: dict[str, object]
-    relation: str
+    def __init__(self, bindings: dict[str, object], relation: str):
+        self._values = bindings
+        self.relation = relation
 
-    def __post_init__(self):
-        self.bindings = {name: str(value) for name, value in self.bindings.items()}
+    @cached_property
+    def bindings(self) -> dict[str, str]:
+        """Each binding as its text form, str(value)."""
+        return {name: str(value) for name, value in self._values.items()}
 
     def to_json(self) -> dict:
         return {"bindings": dict(self.bindings), "relation": self.relation}
@@ -177,6 +183,13 @@ class ItemCheck:
     up instead of yielding a value. finish() resolves the status with
     precedence unbounded > vacuous > fail > pass; a vacuous finish drops
     ordinary witnesses but keeps unbounded ones.
+
+    Each kind, ordinary and unbounded, keeps its first MAX_WITNESSES
+    distinct witnesses, deduplicated on their text. A kind that holds
+    that many renders no further witness: none of them could be
+    reported. The two kinds are deduplicated apart; no suite gives an
+    ordinary and an unbounded witness the same relation, so a shared
+    deduplication would keep the same witnesses.
     """
 
     def __init__(self, item_id: str, anchor: str):
@@ -186,33 +199,37 @@ class ItemCheck:
         self._witnesses: list[Witness] = []
         self._unbounded: list[Witness] = []
         self._seen: set[tuple] = set()
+        self._seen_unbounded: set[tuple] = set()
 
-    def _add(self, into: list[Witness], witness: Witness):
+    @staticmethod
+    def _add(into: list[Witness], seen: set[tuple], witness: Witness):
+        if len(into) == MAX_WITNESSES:
+            return
         # distinct sample tuples can reproduce the same violation; keep one
         key = (tuple(sorted(witness.bindings.items())), witness.relation)
-        if key not in self._seen:
-            self._seen.add(key)
+        if key not in seen:
+            seen.add(key)
             into.append(witness)
 
     def sample(self, violations: list[Witness]):
         self.samples += 1
         for witness in violations:
-            self._add(self._witnesses, witness)
+            self._add(self._witnesses, self._seen, witness)
 
     def mark_unbounded(self, witness: Witness):
         self.samples += 1
-        self._add(self._unbounded, witness)
+        self._add(self._unbounded, self._seen_unbounded, witness)
 
     def finish(self, vacuous: bool = False) -> CheckItem:
         if self._unbounded:
             status = "unbounded"
-            witnesses = self._unbounded[:MAX_WITNESSES]
+            witnesses = list(self._unbounded)
         elif vacuous or self.samples == 0:
             status = "vacuous"
             witnesses = []
         elif self._witnesses:
             status = "fail"
-            witnesses = self._witnesses[:MAX_WITNESSES]
+            witnesses = list(self._witnesses)
         else:
             status = "pass"
             witnesses = []

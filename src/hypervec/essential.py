@@ -6,6 +6,19 @@ sets need not be singletons; the sign family has two essential points
 for every nonzero input, which is exactly what separates the two
 normality readings below.
 
+Every family multiplies the classical value by a fixed set M, a o x =
+M*(a*x), and its essential set is U(M)*(a*x), where U(M) holds the
+multipliers whose inverse is in M too (essential_points proves it):
+
+    family           M                   U(M)
+    trivial          {1}                 {1}
+    zero_augmented   {0, 1}              {1}
+    geometric(r)     {r^k : k >= 0}      {1}
+    sign             {1, -1}             {1, -1}
+
+So the essential set is {a*x}, or {a*x, -a*x} for sign, and each family
+states it as family.essential(ax) next to its product family.apply.
+
 check_weak_normal asks only that the sumset of two essential sets meets
 the target essential set. check_strong_normal asks that every choice of
 summands lands in the target and that the target holds nothing else.
@@ -41,9 +54,8 @@ from .vectors import Vector, sorted_vectors
 class EssentialSet:
     """Sorted essential points plus a completeness flag.
 
-    complete is True when every candidate in a o x was inspected (finite
-    shapes and the ray closed form); a depth-truncated ray search leaves
-    it False.
+    complete is True for the closed form and for an exhaustive search
+    of a finite a o x; a depth-truncated ray search leaves it False.
     """
 
     points: tuple[Vector, ...]
@@ -70,27 +82,38 @@ def essential_points(
     depth: int = 8,
     closed_form: bool = True,
 ) -> EssentialSet:
-    """All essential points of a o x.
+    """All essential points of a o x, in vector_key order.
 
-    Candidates are drawn from a o x and filtered by the defining
-    membership x in a^-1 o candidate, checked exactly. Finite shapes are
-    exhaustive. For a ray only the base can survive: a^-1 o (base*r^k)
-    is the ray from x*r^k whose elements are x*r^(k+j), and that set
-    contains x only when k = j = 0. With closed_form the search uses
-    that argument (and stays complete); otherwise the ray is enumerated
-    to the given depth and the result is marked incomplete. Every caller
-    in the package uses the closed form, so the sets they read are
-    complete and depth does not matter.
+    With closed_form (what every caller in the package uses) the set is
+    U(M)*ax with ax = a*x, read off the family by family.essential(ax)
+    from one scaling of x: no product, inverse or membership test.
+
+    Proof that U(M)*ax is the essential set for a != 0. Every family
+    gives a o x = M*ax, and a^-1 o e = M*(a^-1*e). Let x != 0 and take
+    e = m*ax in a o x, m in M; as ax != 0, e determines m. Then a^-1*e =
+    m*x, so x lies in a^-1 o e exactly when m'*m*x = x for some m' in M,
+    that is m'*m = 1: m != 0 and 1/m = m' is in M, so m is in U(M).
+    Hence the essential set is U(M)*ax. For x = 0, a o x = {0} and
+    x = 0 lies in a^-1 o 0 = {0}, so the set is {0} = U(M)*0 (U(M)
+    holds 1 for every family). For a = 0 the convention {0} is again
+    U(M)*(0*x), so the closed form needs no separate case.
+
+    closed_form=False computes the set by the definition instead: the
+    candidates are drawn from a o x and kept when x lies in
+    a^-1 o candidate, checked exactly. Finite shapes are exhaustive; a
+    ray is enumerated to depth elements and the result is marked
+    incomplete. Tests use this path as the reference for the closed
+    form.
 
     Like product, a and x must be of the model's field and dimension.
     """
+    if closed_form:
+        return EssentialSet(model.family.essential(x.scaled(a)), True)
     if is_zero(a):
         return EssentialSet((model.zero(),), True)
     s = product(model, a, x)
     if isinstance(s, FiniteSet):
         candidates, complete = list(s.elements), True
-    elif closed_form:
-        candidates, complete = [s.base], True
     else:
         candidates, complete = enumerate_set(s, depth), False
     inv = invert(a)

@@ -95,7 +95,10 @@ def ray(base: Vector, ratio: Fraction) -> HyperSet:
 #
 # str(family) is its token in the model-file language, and
 # family.apply(ax, zero) is the set a o x built from the classical value
-# ax = a*x and the model's zero vector.
+# ax = a*x and the model's zero vector. Each family multiplies ax by a
+# fixed set M, and family.essential(ax) is the essential set U(M)*ax,
+# where U(M) holds the m in M with 1/m in M (essential.essential_points
+# holds the proof).
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,9 @@ class Trivial:
     def apply(self, ax: Vector, zero: Vector) -> HyperSet:
         return finite([ax])
 
+    def essential(self, ax: Vector) -> tuple[Vector, ...]:
+        return (ax,)  # M = U(M) = {1}
+
 
 @dataclass(frozen=True)
 class ZeroAugmented:
@@ -118,6 +124,9 @@ class ZeroAugmented:
 
     def apply(self, ax: Vector, zero: Vector) -> HyperSet:
         return finite([ax, zero])
+
+    def essential(self, ax: Vector) -> tuple[Vector, ...]:
+        return (ax,)  # M = {0, 1}, U(M) = {1}
 
 
 @dataclass(frozen=True)
@@ -136,6 +145,9 @@ class Geometric:
     def apply(self, ax: Vector, zero: Vector) -> HyperSet:
         return ray(ax, self.ratio)
 
+    def essential(self, ax: Vector) -> tuple[Vector, ...]:
+        return (ax,)  # M = {ratio^k : k >= 0}, U(M) = {1}
+
 
 @dataclass(frozen=True)
 class Sign:
@@ -146,6 +158,9 @@ class Sign:
 
     def apply(self, ax: Vector, zero: Vector) -> HyperSet:
         return finite([ax, -ax])
+
+    def essential(self, ax: Vector) -> tuple[Vector, ...]:
+        return sorted_vectors((ax, -ax))  # M = U(M) = {1, -1}
 
 
 Family = Union[Trivial, ZeroAugmented, Geometric, Sign]

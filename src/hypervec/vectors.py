@@ -191,27 +191,38 @@ def vector_key(v: Vector) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple((Fraction(n, d), Fraction(m, d)) for n, m in zip(v.nums, ims))
 
 
+def _int_key(v: Vector, scale: int, gaussian: bool) -> tuple[int, ...]:
+    """The numerators of v times scale, real and imaginary parts
+    interleaved when gaussian."""
+    if not gaussian:
+        return tuple(n * scale for n in v.nums)
+    ims = v.ims or (0,) * len(v.nums)
+    return tuple(k * scale for pair in zip(v.nums, ims) for k in pair)
+
+
 def sorted_vectors(vectors: Iterable[Vector]) -> tuple[Vector, ...]:
     """The distinct vectors in vector_key order, compared on ints.
 
-    Scaled to the lcm of their denominators, the numerators of each
-    vector order like its coordinates, so one integer key per vector,
-    real and imaginary parts interleaved, sorts like vector_key.
+    Scaled to a common denominator, the numerators of each vector order
+    like its coordinates, so one integer key per vector, real and
+    imaginary parts interleaved, sorts like vector_key. Two vectors are
+    scaled by each other's denominator and compared once; more are
+    scaled to the lcm of their denominators and sorted.
     """
     vs = list(vectors)
     if len(vs) == 1:
         return (vs[0],)
+    if len(vs) == 2:
+        u, v = vs
+        gaussian = u.ims is not None or v.ims is not None
+        ku, kv = _int_key(u, v.den, gaussian), _int_key(v, u.den, gaussian)
+        if ku == kv:
+            return (u,)
+        return (u, v) if ku < kv else (v, u)
     unique = set(vs)
     den = lcm(*(v.den for v in unique))
-    if all(v.ims is None for v in unique):
-        def key(v):
-            s = den // v.den
-            return tuple(n * s for n in v.nums)
-    else:
-        def key(v):
-            s, zeros = den // v.den, (0,) * len(v.nums)
-            return tuple(k * s for pair in zip(v.nums, v.ims or zeros) for k in pair)
-    return tuple(sorted(unique, key=key))
+    gaussian = any(v.ims is not None for v in unique)
+    return tuple(sorted(unique, key=lambda v: _int_key(v, den // v.den, gaussian)))
 
 
 def parse_vector(text: str, field: FieldTag) -> Vector:

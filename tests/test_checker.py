@@ -157,6 +157,10 @@ def w(tag):
     return Witness({"k": tag}, "broken")
 
 
+# (binding, relation) of a witness; few values, so that they repeat
+TAGGED = st.tuples(st.integers(0, 7), st.sampled_from(["r1", "r2"]))
+
+
 class TestSampledValuesAreNotAdmitted:
     @pytest.mark.parametrize("family", [Geometric(F(1, 2)), Sign()], ids=str)
     def test_suites_admit_no_vector(self, family, fast_cfg, monkeypatch):
@@ -216,6 +220,65 @@ class TestItemCheck:
         item = c.finish(vacuous=True)  # even under a failed precondition
         assert item.status == "unbounded"
         assert [x.bindings["k"] for x in item.witnesses] == ["u"]
+
+    def test_renders_only_witnesses_it_can_keep(self):
+        rendered = []
+
+        class Value:
+            def __init__(self, tag):
+                self.tag = tag
+
+            def __str__(self):
+                rendered.append(self.tag)
+                return self.tag
+
+        c = ItemCheck("x", "a")
+        for i in range(3 * MAX_WITNESSES):
+            c.sample([Witness({"k": Value(f"w{i}")}, "broken")])
+        # a full ordinary kind leaves the unbounded kind rendering
+        c.mark_unbounded(Unbounded({"k": Value("u")}, "grows"))
+        assert rendered == [f"w{i}" for i in range(MAX_WITNESSES)] + ["u"]
+        item = c.finish()
+        assert [x.bindings["k"] for x in item.witnesses] == ["u"]
+        assert len(rendered) == MAX_WITNESSES + 1  # read again, not rendered again
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("sample"), st.lists(TAGGED, max_size=3)),
+                st.tuples(st.just("unbounded"), st.lists(TAGGED, min_size=1, max_size=1)),
+            ),
+            max_size=40,
+        ),
+        st.booleans(),
+    )
+    def test_keeps_what_eager_rendering_kept(self, events, vacuous):
+        # the bookkeeping before rendering was deferred: every witness
+        # rendered, and one deduplication set for both kinds; as in every
+        # suite, no unbounded relation is also an ordinary one
+        seen, kept = set(), {"sample": [], "unbounded": []}
+        c = ItemCheck("x", "a")
+        for kind, tags in events:
+            if kind == "sample":
+                batch = [Witness({"k": k}, rel) for k, rel in tags]
+                c.sample(batch)
+            else:
+                batch = [Unbounded({"k": k}, "grows " + rel) for k, rel in tags]
+                c.mark_unbounded(batch[0])
+            for witness in batch:
+                key = (tuple(sorted(witness.bindings.items())), witness.relation)
+                if key not in seen:
+                    seen.add(key)
+                    kept[kind].append(witness.to_json())
+        item = c.finish(vacuous)
+        if kept["unbounded"]:
+            expected = ("unbounded", kept["unbounded"][:MAX_WITNESSES])
+        elif vacuous or not events:
+            expected = ("vacuous", [])
+        else:
+            expected = ("fail" if kept["sample"] else "pass", kept["sample"][:MAX_WITNESSES])
+        assert (item.status, [x.to_json() for x in item.witnesses]) == expected
+        assert item.samples == len(events)
 
 
 ROWS = (("a", "law a"), ("b", "law b"))

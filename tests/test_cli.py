@@ -251,6 +251,23 @@ class TestEssentialCommand:
         assert main(["essential", path, "--a", "1", "--x", "(1,0)"]) == 0
         assert capsys.readouterr().out == "E = {(-1, 0), (1, 0)} (complete)\n"
 
+    @pytest.mark.parametrize(
+        "model,a,x,line",
+        [
+            ("field Qi dim 2 product geometric(1/2)", "1+i", "(1/2,i)",
+             "E = {(1/2+1/2*i, -1+i)} (complete)"),
+            ("field Qi dim 2 product geometric(1/2)", "2-1/3*i", "(0,0)",
+             "E = {(0, 0)} (complete)"),
+            ("field Q dim 3 product sign", "-2", "(0,0,0)", "E = {(0, 0, 0)} (complete)"),
+            ("field Q dim 2 product zero_augmented", "3", "(0,0)", "E = {(0, 0)} (complete)"),
+        ],
+        ids=["gaussian_ray", "gaussian_ray_zero_x", "sign_zero_x", "zero_augmented_zero_x"],
+    )
+    def test_pinned_line(self, hvs, capsys, model, a, x, line):
+        path = hvs(f'model "m" {{ {model} }}')
+        assert main(["essential", path, "--a", a, "--x", x]) == 0
+        assert capsys.readouterr().out == line + "\n"
+
     def test_bad_scalar_exits_two(self, hvs, capsys):
         path = hvs('model "s" { field Q dim 2 product sign }')
         assert main(["essential", path, "--a", "3/0", "--x", "(1,0)"]) == 2

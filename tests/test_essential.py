@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hypervec.checker import SampleConfig
 from hypervec.essential import (
@@ -21,8 +22,8 @@ from hypervec.models import (
     contains,
     product,
 )
-from hypervec.scalars import FieldTag, invert, parse_scalar
-from hypervec.vectors import make_vector, parse_vector, zero_vector
+from hypervec.scalars import FieldTag, GaussianRational, invert, parse_scalar
+from hypervec.vectors import Vector, make_vector, parse_vector, zero_vector
 
 F = Fraction
 
@@ -97,6 +98,36 @@ class TestEssentialPoints:
         for model in CATALOG:
             ess = essential_points(model, 3, zero_vector(FieldTag.Q, 2))
             assert list(ess) == [zero_vector(FieldTag.Q, 2)]
+
+
+SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+GAUSSIAN = st.builds(GaussianRational, SMALL, SMALL)
+
+
+@pytest.mark.parametrize(
+    "family,field",
+    [
+        (family, field)
+        for family in [
+            Trivial(), ZeroAugmented(), Sign(),
+            Geometric(F(1, 2)), Geometric(F(3, 5)), Geometric(F(2)), Geometric(F(7, 3)),
+        ]
+        for field in (FieldTag.Q, FieldTag.QI)
+        if not (isinstance(family, Sign) and field is FieldTag.QI)
+    ],
+    ids=str,
+)
+@given(st.integers(1, 4), st.booleans(), st.booleans(), st.data())
+def test_closed_form_matches_definition(family, field, dim, zero_a, zero_x, data):
+    # U(M)*(a*x) against the definition: x in a^-1 o e for e in a o x
+    model = ModelSpec(field, dim, family)
+    scalars = SMALL if field is FieldTag.Q else GAUSSIAN
+    a = model.admit_scalar(0) if zero_a else data.draw(scalars)
+    x = model.zero() if zero_x else Vector(data.draw(st.lists(scalars, min_size=dim, max_size=dim)))
+    closed = essential_points(model, a, x)
+    defined = essential_points(model, a, x, closed_form=False)
+    assert closed.points == defined.points
+    assert str(closed) == str(defined)
 
 
 class TestLemmaBasic:

@@ -13,6 +13,7 @@ from hypervec.vectors import (
     Vector,
     make_vector,
     parse_vector,
+    sorted_vectors,
     unit_vector,
     vector_key,
     zero_vector,
@@ -248,6 +249,31 @@ class TestLatticeAgainstFractionTuples:
         elements = finite(vs).elements
         assert [vector_key(v) for v in elements] == sorted({pairs for _, pairs in refs})
         assert list(elements) == sorted(set(vs), key=vector_key)
+
+    @given(fields, fields, dims, st.integers(1, 12), st.data())
+    def test_two_vector_order(self, field_u, field_v, dim, den, data):
+        # the pair path of sorted_vectors against the keyed sort: the same
+        # vector, its real part in either field (equal to it over Q), a
+        # neighbour over another denominator, and an unrelated vector
+        ref = data.draw(references(field_u, dim))
+        u = lattice(ref)
+        i = data.draw(st.integers(0, dim - 1))
+        nudge = tuple((re + F(j == i, den), im) for j, (re, im) in enumerate(ref[1]))
+        v = data.draw(
+            st.sampled_from(
+                [
+                    lattice(ref),
+                    lattice((field_v, tuple((re, F(0)) for re, _ in ref[1]))),
+                    lattice((field_u, nudge)),
+                    lattice(data.draw(references(field_v, dim))),
+                ]
+            )
+        )
+        for pair in ([u, v], [v, u]):
+            got = sorted_vectors(pair)
+            expected = tuple(sorted(set(pair), key=vector_key))
+            assert len(got) == len(expected)
+            assert all(g is e for g, e in zip(got, expected))
 
     @given(fields, dims, st.data())
     def test_ray_exponent(self, field, dim, data):
