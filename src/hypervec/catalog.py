@@ -9,15 +9,16 @@ normality readings (the sumset reading passes while the all-choices
 reading fails).
 
 EXPECTED_VERDICTS is the frozen summary of what a default-configuration
-run produces; tests cross-check it against live runs so the table can
-never drift from the code.
+run produces, one verdict per suite, checker.roll_up of its items;
+tests cross-check it against live runs so the table can never drift
+from the code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .checker import CheckReport, SUITE_NAMES
+from .checker import SUITE_NAMES
 from .models import (
     Geometric,
     ModelSpec,
@@ -37,22 +38,6 @@ def catalog_models(dim: int = 2) -> list[tuple[str, ModelSpec]]:
         ("geometric(2)", ModelSpec(FieldTag.Q, dim, Geometric(Fraction(2)))),
         ("sign", ModelSpec(FieldTag.Q, dim, Sign())),
     ]
-
-
-def suite_verdict(report: CheckReport) -> str:
-    """One-word rollup of a report: unbounded > fail > vacuous > pass.
-
-    A suite is vacuous only when every item is; a single live item makes
-    the suite's verdict that of its worst live item.
-    """
-    statuses = [item.status for item in report.items]
-    if "unbounded" in statuses:
-        return "unbounded"
-    if "fail" in statuses:
-        return "fail"
-    if statuses and all(s == "vacuous" for s in statuses):
-        return "vacuous"
-    return "pass"
 
 
 _ALL_PASS = {name: "pass" for name in SUITE_NAMES}

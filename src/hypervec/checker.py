@@ -3,6 +3,11 @@
 All verdicts are computed in exact arithmetic; the only randomness is a
 seeded SplitMix64 stream used to pick sample tuples, so two runs with
 the same config produce byte-identical reports on any platform.
+
+Several items make one status by a single rule, roll_up: unbounded,
+else fail, else pass, and vacuous only when every item is vacuous. It
+gives each summary item (summary_item: the normality verdicts and the
+norm axioms) and each suite's verdict in the catalog table.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import importlib
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -89,15 +94,12 @@ class SampleConfig:
     """Knobs for the deterministic sample stream.
 
     height bounds numerators in [-height, height] and denominators in
-    [1, height]; samples is at most MAX_SAMPLES. depth is still accepted
-    and validated, but no report depends on it: every verdict is decided
-    exactly, without enumerating an infinite set.
+    [1, height]; samples is at most MAX_SAMPLES.
     """
 
     seed: int = 42
     samples: int = 500
     height: int = 10
-    depth: int = 8
 
     def __post_init__(self):
         if not 0 <= self.seed <= _MASK64:
@@ -106,8 +108,6 @@ class SampleConfig:
             raise ValueError(f"samples must be between 1 and {MAX_SAMPLES}")
         if self.height < 1:
             raise ValueError("height must be positive")
-        if self.depth < 1:
-            raise ValueError("depth must be positive")
 
 
 class Witness:
@@ -251,15 +251,23 @@ def vacuous_report(
     )
 
 
-def mirror_item(item_id: str, anchor: str, source: CheckReport) -> CheckItem:
-    """One item summing up a whole report: pass only if all its items
-    passed, the largest sample count, and the first witnesses."""
-    witnesses: list[Witness] = []
-    for it in source.items:
-        witnesses.extend(it.witnesses)
-    status = "pass" if source.all_passed else "fail"
-    samples = max((it.samples for it in source.items), default=0)
-    return CheckItem(item_id, anchor, status, samples, witnesses[:MAX_WITNESSES])
+def roll_up(items: list[CheckItem]) -> str:
+    """The one status of several items: unbounded > fail > pass, and
+    vacuous only when every item is vacuous (no items give pass)."""
+    statuses = {item.status for item in items}
+    for status in ("unbounded", "fail"):
+        if status in statuses:
+            return status
+    return "vacuous" if statuses == {"vacuous"} else "pass"
+
+
+def summary_item(item_id: str, anchor: str, items: list[CheckItem]) -> CheckItem:
+    """One item summing up others: their roll_up status, the largest
+    sample count, and the first MAX_WITNESSES of their witnesses in
+    item order."""
+    witnesses = [w for item in items for w in item.witnesses][:MAX_WITNESSES]
+    samples = max((item.samples for item in items), default=0)
+    return CheckItem(item_id, anchor, roll_up(items), samples, witnesses)
 
 
 def _rand_ratio(rng: SplitMix64, height: int) -> tuple[int, int]:
@@ -388,8 +396,7 @@ def run_suites(
 
 
 def _run_suite(name: str, model, ip, cfg: SampleConfig, memo: dict) -> CheckReport:
-    # no report depends on depth, so configs that differ only there share one
-    key = (name, model, ip, replace(cfg, depth=SampleConfig.depth))
+    key = (name, model, ip, cfg)
     if key not in memo:
         module, function, reads = SUITES[name]
         # looked up at call time: these modules sit above this one in the

@@ -48,12 +48,15 @@ def _effective_config(params: dict[str, int], args: argparse.Namespace) -> Sampl
             return flag_value
         return params.get(key, default)
 
-    return SampleConfig(
+    cfg = SampleConfig(
         seed=pick(args.seed, "seed", base.seed),
         samples=pick(args.samples, "samples", base.samples),
         height=params.get("height", base.height),
-        depth=pick(args.depth, "depth", base.depth),
     )
+    # --depth is accepted for old scripts and read by nothing, but checked
+    if args.depth is not None and args.depth < 1:
+        raise ValueError("depth must be positive")
+    return cfg
 
 
 def _print_report(report: CheckReport, out: IO[str]) -> None:

@@ -18,61 +18,38 @@ multipliers whose inverse is in M too (essential_points proves it):
 
 So the essential set is {a*x}, or {a*x, -a*x} for sign, and each family
 states it as family.essential(ax) next to its product family.apply.
+essential_points returns it as a FiniteSet, the type product returns
+for a finite a o x, so it prints the same way.
 
 check_weak_normal asks only that the sumset of two essential sets meets
 the target essential set. check_strong_normal asks that every choice of
 summands lands in the target and that the target holds nothing else.
 check_normal_equivalence compares the two reports and flags models
-where the readings disagree.
+where the readings disagree; its two verdict items are summary items
+(checker.summary_item) of the reports they name.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .checker import (
     CheckItem,
     CheckReport,
     SampleConfig,
     Witness,
-    mirror_item,
     run_laws,
+    summary_item,
 )
 from .models import (
     FiniteSet,
     ModelSpec,
     contains,
     enumerate_set,
+    finite,
     hyperset_eq,
     product,
 )
 from .scalars import Scalar, invert, is_zero
 from .vectors import Vector, sorted_vectors
-
-
-@dataclass(frozen=True)
-class EssentialSet:
-    """Sorted essential points plus a completeness flag.
-
-    complete is True for the closed form and for an exhaustive search
-    of a finite a o x; a depth-truncated ray search leaves it False.
-    """
-
-    points: tuple[Vector, ...]
-    complete: bool
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __contains__(self, v: Vector) -> bool:
-        return v in self.points
-
-    @property
-    def singleton(self) -> bool:
-        return len(self.points) == 1
-
-    def __str__(self):
-        return "{" + ", ".join(str(p) for p in self.points) + "}"
 
 
 def essential_points(
@@ -81,8 +58,8 @@ def essential_points(
     x: Vector,
     depth: int = 8,
     closed_form: bool = True,
-) -> EssentialSet:
-    """All essential points of a o x, in vector_key order.
+) -> FiniteSet:
+    """All essential points of a o x, as a FiniteSet in vector_key order.
 
     With closed_form (what every caller in the package uses) the set is
     U(M)*ax with ax = a*x, read off the family by family.essential(ax)
@@ -101,24 +78,20 @@ def essential_points(
     closed_form=False computes the set by the definition instead: the
     candidates are drawn from a o x and kept when x lies in
     a^-1 o candidate, checked exactly. Finite shapes are exhaustive; a
-    ray is enumerated to depth elements and the result is marked
-    incomplete. Tests use this path as the reference for the closed
-    form.
+    ray is enumerated to depth elements, which for every family holds
+    the whole essential set. Tests use this path as the reference for
+    the closed form.
 
     Like product, a and x must be of the model's field and dimension.
     """
     if closed_form:
-        return EssentialSet(model.family.essential(x.scaled(a)), True)
+        return FiniteSet(model.family.essential(x.scaled(a)))
     if is_zero(a):
-        return EssentialSet((model.zero(),), True)
+        return FiniteSet((model.zero(),))
     s = product(model, a, x)
-    if isinstance(s, FiniteSet):
-        candidates, complete = list(s.elements), True
-    else:
-        candidates, complete = enumerate_set(s, depth), False
+    candidates = s.elements if isinstance(s, FiniteSet) else enumerate_set(s, depth)
     inv = invert(a)
-    points = [e for e in candidates if contains(product(model, inv, e), x)]
-    return EssentialSet(sorted_vectors(points), complete)
+    return finite(e for e in candidates if contains(product(model, inv, e), x))
 
 
 _LEMMA_BASIC_ITEMS = (
@@ -148,7 +121,7 @@ def check_lemma_basic(
 
     def laws(a, b, x):
         e_unit = essential_points(model, one, x)
-        yield "unit_essential", x not in e_unit and Witness(
+        yield "unit_essential", x not in e_unit.elements and Witness(
             {"x": x, "E[1 o x]": e_unit}, "x is not an essential point of 1 o x"
         )
 
@@ -159,28 +132,28 @@ def check_lemma_basic(
                     {"a": a, "b": b, "x": x, "e": e, "a o e": swept, "(a*b) o x": target},
                     "a o e differs from (a*b) o x",
                 )
-                for e in essential_points(model, b, x)
+                for e in essential_points(model, b, x).elements
                 if not hyperset_eq(swept := product(model, a, e), target)
             ]
 
         e_pos = essential_points(model, a, x)
         e_neg = essential_points(model, -a, x)
-        mirrored = sorted_vectors(-p for p in e_pos.points)
-        yield "negation_mirror", mirrored != e_neg.points and Witness(
+        mirrored = sorted_vectors(-p for p in e_pos.elements)
+        yield "negation_mirror", mirrored != e_neg.elements and Witness(
             {"a": a, "x": x, "E[a o x]": e_pos, "E[(-a) o x]": e_neg},
             "negating the essential set does not give the essential set of the negated scalar",
         )
 
         if not is_zero(a):
             ys = essential_points(model, invert(a), x)
-            reached = any(x in essential_points(model, a, y) for y in ys)
+            reached = any(x in essential_points(model, a, y).elements for y in ys.elements)
             yield "reachable", not reached and Witness(
                 {"a": a, "x": x, "E[a^-1 o x]": ys},
                 "no essential choice y of a^-1 o x makes x essential in a o y",
             )
 
         if strong_ok:
-            yield "singleton_under_strong_normality", not e_pos.singleton and Witness(
+            yield "singleton_under_strong_normality", len(e_pos.elements) != 1 and Witness(
                 {"a": a, "x": x, "E[a o x]": e_pos},
                 "essential set is not a singleton although the all-choices reading holds",
             )
@@ -197,7 +170,9 @@ def check_weak_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> Chec
         e1 = essential_points(model, a1, x1)
         e2 = essential_points(model, a2, x1)
         target = essential_points(model, a1 + a2, x1)
-        yield "scalar_condition", not any(p + q in target for p in e1 for q in e2) and Witness(
+        yield "scalar_condition", not any(
+            p + q in target.elements for p in e1.elements for q in e2.elements
+        ) and Witness(
             {
                 "a1": a1, "a2": a2, "x": x1,
                 "E[a1 o x]": e1, "E[a2 o x]": e2, "E[(a1+a2) o x]": target,
@@ -207,7 +182,9 @@ def check_weak_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> Chec
 
         f2 = essential_points(model, a1, x2)
         target2 = essential_points(model, a1, x1 + x2)
-        yield "vector_condition", not any(p + q in target2 for p in e1 for q in f2) and Witness(
+        yield "vector_condition", not any(
+            p + q in target2.elements for p in e1.elements for q in f2.elements
+        ) and Witness(
             {
                 "a": a1, "x1": x1, "x2": x2,
                 "E[a o x1]": e1, "E[a o x2]": f2, "E[a o (x1+x2)]": target2,
@@ -223,18 +200,18 @@ def check_weak_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> Chec
 
 
 def _strong_violations(
-    given: dict, e1: EssentialSet, e2: EssentialSet, target: EssentialSet
+    given: dict, e1: FiniteSet, e2: FiniteSet, target: FiniteSet
 ) -> list[Witness]:
     """Sums of choices outside the target and target points that no sum
     of choices reaches."""
-    sums = [(p1, p2, p1 + p2) for p1 in e1 for p2 in e2]
+    sums = [(p1, p2, p1 + p2) for p1 in e1.elements for p2 in e2.elements]
     violations = [
         Witness(
             {**given, "choice1": p1, "choice2": p2, "sum": s, "target": target},
             "sum of essential choices is not an essential point of the target",
         )
         for p1, p2, s in sums
-        if s not in target
+        if s not in target.elements
     ]
     achievable = {s for _, _, s in sums}
     return violations + [
@@ -242,7 +219,7 @@ def _strong_violations(
             {**given, "missing": t, "target": target},
             "target essential point is not achievable as a sum of choices",
         )
-        for t in target
+        for t in target.elements
         if t not in achievable
     ]
 
@@ -293,40 +270,26 @@ def check_normal_equivalence(
     """
     weak_ok = weak.all_passed
     strong_ok = strong.all_passed
-
-    agree_anchor = "the sumset reading and the all-choices reading give the same verdict"
-    if weak_ok == strong_ok:
-        agree = CheckItem(
-            "readings_agree",
-            agree_anchor,
-            "pass",
-            max(it.samples for it in weak.items + strong.items),
-            [],
+    agree = weak_ok == strong_ok
+    witnesses = [] if agree else [
+        Witness(
+            {"weak": "pass" if weak_ok else "fail", "strong": "pass" if strong_ok else "fail"},
+            "readings disagree: the sumset reading and the all-choices "
+            "reading give different verdicts on the same samples",
         )
-    else:
-        agree = CheckItem(
-            "readings_agree",
-            agree_anchor,
-            "fail",
-            max(it.samples for it in weak.items + strong.items),
-            [
-                Witness(
-                    {
-                        "weak": "pass" if weak_ok else "fail",
-                        "strong": "pass" if strong_ok else "fail",
-                    },
-                    "readings disagree: the sumset reading and the all-choices "
-                    "reading give different verdicts on the same samples",
-                )
-            ],
-        )
-
+    ]
     return CheckReport(
         model.describe(),
         "normal_equiv",
         [
-            mirror_item("weak_normality", "sumset reading verdict", weak),
-            mirror_item("strong_normality", "all-choices reading verdict", strong),
-            agree,
+            summary_item("weak_normality", "sumset reading verdict", weak.items),
+            summary_item("strong_normality", "all-choices reading verdict", strong.items),
+            CheckItem(
+                "readings_agree",
+                "the sumset reading and the all-choices reading give the same verdict",
+                "pass" if agree else "fail",
+                max(it.samples for it in weak.items + strong.items),
+                witnesses,
+            ),
         ],
     )

@@ -25,12 +25,11 @@ from typing import Callable, Union
 from .checker import (
     CheckItem,
     CheckReport,
-    MAX_WITNESSES,
     SampleConfig,
     Unbounded,
     Witness,
-    mirror_item,
     run_laws,
+    summary_item,
     vacuous_report,
 )
 from .essential import essential_points
@@ -308,7 +307,7 @@ def check_real_ip_axioms(
         )
         if sup.value == expected:
             ess = essential_points(model, a, x)
-            attained = any(as_real(pairing(ip, e, y)) == sup.value for e in ess)
+            attained = any(as_real(pairing(ip, e, y)) == sup.value for e in ess.elements)
             yield "sup_attained_at_essential", not attained and Witness(
                 {"a": a, "x": x, "y": y, "sup": sup.value, "essential": ess},
                 "no essential point attains the supremum",
@@ -351,7 +350,7 @@ def check_hip_axioms(
                 {"a": a, "x": x, "y": y, "e": e, "(e,y)": got, "a*(x,y)": expected},
                 "(e,y) differs from a*(x,y) at an essential point",
             )
-            for e in essential_points(model, a, x)
+            for e in essential_points(model, a, x).elements
             if (got := pairing(ip, e, y)) != expected
         ]
 
@@ -401,7 +400,7 @@ def check_lemma_34(
                 {"a": a, "x": x, "y": y, "e": e, "(x,e)": got, "conj(a)*(x,y)": expected},
                 "(x,e) differs from conj(a)*(x,y) at an essential point",
             )
-            for e in essential_points(model, a, y)
+            for e in essential_points(model, a, y).elements
             if (got := pairing(ip, x, e)) != expected
         ]
 
@@ -428,8 +427,8 @@ def check_theorem_normal(
     model and config. When the premise fails on samples the conclusions
     are vacuous and the implication is consistent by default. When the
     premise holds, every sampled essential set must be a singleton and
-    the all-choices normality reading must pass; a violation is
-    surfaced loudly.
+    the all-choices normality reading must pass (strong_normality is
+    the summary item of strong); a violation is surfaced loudly.
     """
     if ip is None:
         return vacuous_report(model.describe(), "theorem_normal", list(_THEOREM_ITEMS))
@@ -437,13 +436,13 @@ def check_theorem_normal(
 
     def laws(a, x):
         ess = essential_points(model, a, x)
-        yield "essential_singletons", not ess.singleton and Witness(
+        yield "essential_singletons", len(ess.elements) != 1 and Witness(
             {"a": a, "x": x, "essential": ess}, "essential set is not a singleton"
         )
 
     if hip.all_passed:
         items = run_laws(model, "theorem_normal", _THEOREM_ITEMS[:1], cfg, (1, 1), laws).items
-        items.append(mirror_item(*_THEOREM_ITEMS[1], strong))
+        items.append(summary_item(*_THEOREM_ITEMS[1], strong.items))
     else:
         items = [CheckItem(*row, "vacuous", 0, []) for row in _THEOREM_ITEMS[:2]]
     contradiction = any(it.status == "fail" for it in items)
@@ -470,7 +469,8 @@ def check_norm_props(
 
     Unbounded suprema are always surfaced with status "unbounded", even
     under a failed precondition, so a divergent norm is never reported
-    as a number (or silently hidden).
+    as a number (or silently hidden). norm_axioms is the summary item of
+    definite, triangle and sup_scaling.
     """
     if ip is None:
         return vacuous_report(model.describe(), "norm_props", list(_NORM_ITEMS))
@@ -499,7 +499,7 @@ def check_norm_props(
                 {"a": a, "x": x, "e": e, "nsq(e)": nse, "abs2(a)*nsq(x)": bound},
                 "essential point length does not scale with abs2(a)",
             )
-            for e in essential_points(model, a, x)
+            for e in essential_points(model, a, x).elements
             if (nse := norm_sq(ip, e)) != bound
         ]
 
@@ -521,27 +521,6 @@ def check_norm_props(
         model, "norm_props", _NORM_ITEMS[:-1], cfg, (1, 2), laws,
         vacuous=not hip.all_passed,
     ).items
-    by_id = {it.id: it for it in items}
-    deps = [by_id["definite"], by_id["triangle"], by_id["sup_scaling"]]
-    dep_statuses = [d.status for d in deps]
-    if "unbounded" in dep_statuses:
-        status = "unbounded"
-    elif "fail" in dep_statuses:
-        status = "fail"
-    elif all(st == "pass" for st in dep_statuses):
-        status = "pass"
-    else:
-        status = "vacuous"
-    derived_witnesses: list[Witness] = []
-    if status in ("fail", "unbounded"):
-        for d in deps:
-            derived_witnesses.extend(d.witnesses)
-    items.append(
-        CheckItem(
-            *_NORM_ITEMS[-1],
-            status,
-            max(d.samples for d in deps),
-            derived_witnesses[:MAX_WITNESSES],
-        )
-    )
+    deps = [it for it in items if it.id in ("definite", "triangle", "sup_scaling")]
+    items.append(summary_item(*_NORM_ITEMS[-1], deps))
     return CheckReport(model.describe(), "norm_props", items)

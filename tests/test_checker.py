@@ -1,6 +1,10 @@
 """Deterministic sampling, report assembly, and JSON rendering."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -21,13 +25,16 @@ from hypervec.checker import (
     forced_vectors,
     render_json,
     report_document,
+    roll_up,
     run_laws,
     run_suites,
     sample_stream,
+    summary_item,
     vacuous_report,
 )
 from hypervec import essential, inner
-from hypervec.essential import EssentialSet, check_lemma_basic, check_strong_normal
+from hypervec.cli import main
+from hypervec.essential import check_lemma_basic, check_strong_normal, essential_points
 from hypervec.inner import DotProduct, check_hip_axioms
 from hypervec.models import (
     Geometric,
@@ -76,7 +83,8 @@ class TestSplitMix64:
 class TestSampleConfig:
     def test_defaults(self):
         cfg = SampleConfig()
-        assert (cfg.seed, cfg.samples, cfg.height, cfg.depth) == (42, 500, 10, 8)
+        assert (cfg.seed, cfg.samples, cfg.height) == (42, 500, 10)
+        assert not hasattr(cfg, "depth")  # no report depends on it
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -85,7 +93,6 @@ class TestSampleConfig:
             {"seed": 1 << 64},
             {"samples": 0},
             {"height": 0},
-            {"depth": 0},
             {"samples": MAX_SAMPLES + 1},
         ],
     )
@@ -361,7 +368,9 @@ class TestRunLaws:
         v = make_vector(FieldTag.Q, [1, F(-1, 2)])
         pair = finite([make_vector(FieldTag.Q, [1, 0]), make_vector(FieldTag.Q, [-1, 0])])
         rising = ray(make_vector(FieldTag.Q, [6, 0]), F(1, 2))
-        ess = EssentialSet((make_vector(FieldTag.Q, [3, 6]),), True)
+        ess = essential_points(
+            ModelSpec(FieldTag.Q, 2, ZeroAugmented()), 3, make_vector(FieldTag.Q, [1, 2])
+        )
         q, g = F(-3, 4), GaussianRational(F(1, 2), F(-1, 3))
         witness = Witness(
             {"v": v, "pair": pair, "ray": rising, "E": ess, "q": q, "g": g}, "r"
@@ -409,6 +418,58 @@ class TestReports:
         assert [r.suite for r in reports] == list(SUITE_NAMES)
 
 
+def status_item(status, samples=1, tags=()):
+    return CheckItem("i", "law", status, samples, [w(tag) for tag in tags])
+
+
+class TestRollUp:
+    @pytest.mark.parametrize(
+        "statuses, expected",
+        [
+            ([], "pass"),
+            (["pass", "pass"], "pass"),
+            (["vacuous"], "vacuous"),
+            (["vacuous", "vacuous", "vacuous"], "vacuous"),
+            # a live item decides over vacuous ones; no suite produces this
+            # input, since each summary sums items sampled alike
+            (["pass", "vacuous"], "pass"),
+            (["vacuous", "pass"], "pass"),
+            # norm_axioms over definite, triangle, sup_scaling: no catalog
+            # model fails one of them
+            (["fail", "pass", "pass"], "fail"),
+            (["pass", "vacuous", "fail"], "fail"),
+            (["vacuous", "vacuous", "unbounded"], "unbounded"),
+            (["fail", "unbounded", "pass"], "unbounded"),
+        ],
+    )
+    def test_precedence(self, statuses, expected):
+        items = [status_item(status) for status in statuses]
+        assert roll_up(items) == expected
+        assert summary_item("s", "summary", items).status == expected
+
+    def test_samples_and_witnesses(self):
+        items = [
+            status_item("fail", 7, "ab"), status_item("pass", 30), status_item("fail", 12, "cdef")
+        ]
+        summary = summary_item("s", "summary", items)
+        assert (summary.id, summary.anchor, summary.status) == ("s", "summary", "fail")
+        assert summary.samples == 30  # the largest count, not a sum
+        # item order, capped
+        assert [x.bindings["k"] for x in summary.witnesses] == list("abcdef")[:MAX_WITNESSES]
+
+    def test_unbounded_keeps_every_witness_kind(self):
+        items = [
+            status_item("pass", 4), status_item("fail", 4, "f"), status_item("unbounded", 4, "u")
+        ]
+        summary = summary_item("s", "summary", items)
+        assert summary.status == "unbounded"
+        assert [x.bindings["k"] for x in summary.witnesses] == ["f", "u"]
+
+    def test_no_items(self):
+        summary = summary_item("s", "summary", [])
+        assert (summary.status, summary.samples, summary.witnesses) == ("pass", 0, [])
+
+
 class TestSuitesWithoutInnerProduct:
     @pytest.mark.parametrize(
         "suite, rows",
@@ -444,16 +505,26 @@ class TestDepthChangesNoReport:
     def test_reports_identical_at_every_depth(self, family, field, dim, seed):
         if isinstance(family, Sign):
             field = FieldTag.Q  # the sign family is defined over Q only
-        model = ModelSpec(field, dim, family)
+        model = f'model "m" {{ field {field} dim {dim} product {family} inner dot }}\n'
 
-        def rendered(depth):
-            cfg = SampleConfig(seed=seed, samples=30, depth=depth)
-            reports = run_suites(model, DotProduct(), cfg, list(SUITE_NAMES))
-            return render_json(report_document(model.describe(), seed, reports))
+        def rendered(directive_depth, *flags):
+            # depth reaches a check through its directive or the --depth flag
+            text = model + "".join(
+                f"check {suite} samples=30 depth={directive_depth}\n" for suite in SUITE_NAMES
+            )
+            with tempfile.TemporaryDirectory() as tmp:
+                path, out = os.path.join(tmp, "m.hvs"), os.path.join(tmp, "r.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = main(["check", path, "--seed", str(seed), "--json", out, *flags])
+                with open(out, encoding="utf-8") as fh:
+                    return code, stdout.getvalue(), fh.read()
 
         expected = rendered(1)
-        for depth in (2, 8, 30):
-            assert rendered(depth) == expected
+        for depth, flags in ((2, ()), (30, ()), (1, ("--depth", "8"))):
+            assert rendered(depth, *flags) == expected
 
 
 class TestJson:

@@ -139,6 +139,14 @@ class TestCheckCommand:
         assert texts[0] == texts[1]
         capsys.readouterr()
 
+    def test_depth_zero_exits_two(self, hvs, capsys):
+        # depth is read by nothing, but a value that was never valid stays an error
+        assert main(["check", hvs(CLEAN_FILE), "--depth", "0"]) == 2
+        assert capsys.readouterr().err == "error: depth must be positive\n"
+        assert main(["check", hvs(CLEAN_FILE.replace("samples=40", "depth=0"))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2, column 24: depth must be at least 1")
+
 
 def all_suites_file(family, samples=None):
     """A catalog model over Q^2 with one directive per suite, in order."""
@@ -187,8 +195,8 @@ class TestCheckSharesReports:
                 "check hip samples=50 depth=3\ncheck hip samples=50 depth=4\n")
         mf = parse_model_file(text)
         # the report each directive gets when computed on its own
-        alone = [inner.check_hip_axioms(mf.model, mf.inner, SampleConfig(samples=50, depth=d))
-                 for d in (3, 4)]
+        cfg = SampleConfig(samples=50)
+        alone = [inner.check_hip_axioms(mf.model, mf.inner, cfg)] * 2
         calls = []
         check = inner.check_hip_axioms
 
@@ -200,7 +208,7 @@ class TestCheckSharesReports:
         out = tmp_path / "r.json"
         assert main(["check", hvs(text), "--json", str(out)]) == 0
         capsys.readouterr()
-        assert len(calls) == 1
+        assert calls == [cfg]
         assert out.read_text() == render_json(report_document(mf.model.describe(), 42, alone))
 
     @pytest.mark.parametrize("family", ["trivial", "sign"])

@@ -353,7 +353,7 @@ class TestLemma34Suite:
         m = mk(ZeroAugmented(), field=FieldTag.QI)
         a = G(1, 1)
         x, y = gv(1, G(0, 1)), gv(G(2, -1), 3)
-        (e,) = essential_points(m, a, y)
+        (e,) = essential_points(m, a, y).elements
         assert pairing(DOT, x, e) == conjugate(a) * pairing(DOT, x, y)
 
     def test_vacuous_when_premise_fails(self, fast_cfg):

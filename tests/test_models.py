@@ -287,7 +287,7 @@ class TestAxiomSuite:
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=repr)
     def test_distributive_laws_build_no_sumset(self, family, monkeypatch):
         model = mk(family, dim=4)
-        cfg = SampleConfig(samples=50, height=1000, depth=12)
+        cfg = SampleConfig(samples=50, height=1000)
         calls = []
         monkeypatch.setattr(
             models, "sumset", lambda *args: calls.append(args) or sumset(*args)
