@@ -4,6 +4,12 @@ All verdicts are computed in exact arithmetic; the only randomness is a
 seeded SplitMix64 stream used to pick sample tuples, so two runs with
 the same config produce byte-identical reports on any platform.
 
+sample_stream is the one function that draws. Within one run_suites
+memo (one `hypervec check` run) each stream, keyed by config, field,
+dimension and arity, is drawn once and its tuples handed to every
+suite that reads it, up to STREAM_BUDGET kept values; per_run keeps
+other values the suites of a run share. Nothing outlives the memo.
+
 Several items make one status by a single rule, roll_up: unbounded,
 else fail, else pass, and vacuous only when every item is vacuous. It
 gives each summary item (summary_item: the normality verdicts and the
@@ -15,16 +21,23 @@ from __future__ import annotations
 import importlib
 import itertools
 import json
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .scalars import FieldTag, GaussianRational, Scalar
 from .vectors import Vector, lattice_vector, unit_vector, zero_vector
 
+_T = TypeVar("_T")
+
 _MASK64 = (1 << 64) - 1
+# SplitMix64's state increment and its two mixing multipliers
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 # Every suite: the module of its check function, the function's name,
 # and the suites whose reports it reads. A check function takes
@@ -77,10 +90,10 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
@@ -270,31 +283,6 @@ def summary_item(item_id: str, anchor: str, items: list[CheckItem]) -> CheckItem
     return CheckItem(item_id, anchor, roll_up(items), samples, witnesses)
 
 
-def _rand_ratio(rng: SplitMix64, height: int) -> tuple[int, int]:
-    num = rng.below(2 * height + 1) - height
-    den = rng.below(height) + 1
-    return num, den
-
-
-def rand_scalar(rng: SplitMix64, field: FieldTag, height: int) -> Scalar:
-    if field is FieldTag.Q:
-        return Fraction(*_rand_ratio(rng, height))
-    return GaussianRational(
-        Fraction(*_rand_ratio(rng, height)), Fraction(*_rand_ratio(rng, height))
-    )
-
-
-def rand_vector(rng: SplitMix64, field: FieldTag, dim: int, height: int) -> Vector:
-    """The vector of dim rand_scalar draws, in their order, built on ints."""
-    parts = dim if field is FieldTag.Q else 2 * dim  # real, imaginary, ...
-    ratios = [_rand_ratio(rng, height) for _ in range(parts)]
-    den = lcm(*(q for _, q in ratios))
-    nums = tuple(p * (den // q) for p, q in ratios)
-    if field is FieldTag.Q:
-        return lattice_vector(nums, None, den)
-    return lattice_vector(nums[0::2], nums[1::2], den)
-
-
 def forced_scalars(field: FieldTag) -> list[Scalar]:
     if field is FieldTag.Q:
         return [Fraction(0), Fraction(1), Fraction(-1)]
@@ -324,7 +312,11 @@ def sample_stream(
     A forced prefix runs through every combination of the degenerate
     scalars (0, 1, -1, and over Qi also i and 1+i) and vectors (zero,
     e1, -e1) so the classic corner cases are always exercised; the
-    SplitMix64 tail fills the rest. Denominators are never zero.
+    SplitMix64 tail fills the rest. Every coordinate of the tail is a
+    ratio num/den from two outputs of one generator seeded with
+    cfg.seed: SplitMix64.below(2*height + 1) - height, then
+    SplitMix64.below(height) + 1, so denominators are never zero. A Qi
+    coordinate draws its real part, then its imaginary part.
     """
     count = 0
     slots = [forced_scalars(field)] * n_scalars + [forced_vectors(field, dim)] * n_vectors
@@ -333,12 +325,113 @@ def sample_stream(
             itertools.islice(itertools.product(*slots), cfg.samples), 1
         ):
             yield sample
-    rng = SplitMix64(cfg.seed)
+    parts = 1 if field is FieldTag.Q else 2  # real, imaginary
+    widths = [parts] * n_scalars + [parts * dim] * n_vectors
+    height, span = cfg.height, 2 * cfg.height + 1
+    state = cfg.seed
     while count < cfg.samples:
-        parts = [rand_scalar(rng, field, cfg.height) for _ in range(n_scalars)]
-        parts += [rand_vector(rng, field, dim, cfg.height) for _ in range(n_vectors)]
-        yield tuple(parts)
+        row = []
+        for i, width in enumerate(widths):
+            nums, dens = [], []
+            for _ in range(width):  # SplitMix64.below, inlined
+                state = (state + _GAMMA) & _MASK64
+                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+                nums.append((z ^ (z >> 31)) % span - height)
+                state = (state + _GAMMA) & _MASK64
+                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+                dens.append((z ^ (z >> 31)) % height + 1)
+            if i >= n_scalars:  # a vector, on ints over the lcm of its denominators
+                den = lcm(*dens)
+                scaled = tuple(p * (den // q) for p, q in zip(nums, dens))
+                if parts == 1:
+                    row.append(lattice_vector(scaled, None, den))
+                else:
+                    row.append(lattice_vector(scaled[0::2], scaled[1::2], den))
+            elif parts == 1:
+                row.append(Fraction(nums[0], dens[0]))
+            else:
+                row.append(
+                    GaussianRational(Fraction(nums[0], dens[0]), Fraction(nums[1], dens[1]))
+                )
+        yield tuple(row)
         count += 1
+
+
+# The most sample values one run keeps, so that every suite reading a
+# stream gets the same tuples without drawing them again. A scalar
+# counts one value and a vector one per coordinate, both doubled over
+# Qi: samples * (scalars + vectors * dim) for a stream. A kept value
+# takes about 40 bytes (an int and its slot), so a run keeps a few MB
+# at most, and still every stream of a default run (500 samples) up to
+# dim 13 over Q, or dim 6 over Qi. A stream that would pass the budget
+# is drawn again for each suite that reads it; at the sample cap one
+# stream alone could take hundreds of MB.
+STREAM_BUDGET = 1 << 16
+
+# The memo of the run_suites call in progress, None outside one. The
+# check functions keep their (model, cfg) signatures and reach the
+# values their run shares (kept streams, the normality pass) through it.
+_RUN_MEMO: ContextVar[dict | None] = ContextVar("run_memo", default=None)
+
+
+def per_run(key, compute: Callable[[], _T]) -> _T:
+    """compute(), kept under key in the memo of the run_suites call in
+    progress, so every suite of that run reads one value; outside a
+    run, compute() each time."""
+    memo = _RUN_MEMO.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _rows(cfg: SampleConfig, field: FieldTag, dim: int, arity: tuple[int, int]):
+    """The tuples of sample_stream, drawn once per run while the run's
+    kept streams hold at most STREAM_BUDGET values."""
+    memo = _RUN_MEMO.get()
+    if memo is None:
+        return sample_stream(cfg, field, dim, *arity)
+    key = ("sample_stream", cfg, field, dim, arity)
+    if key not in memo:
+        size = cfg.samples * (arity[0] + arity[1] * dim) * (1 if field is FieldTag.Q else 2)
+        kept = memo.get("kept sample values", 0) + size
+        if kept > STREAM_BUDGET:
+            return sample_stream(cfg, field, dim, *arity)
+        memo["kept sample values"] = kept
+        memo[key] = tuple(sample_stream(cfg, field, dim, *arity))
+    return memo[key]
+
+
+def tally_laws(
+    checks: dict[object, ItemCheck],
+    model,
+    cfg: SampleConfig,
+    arity: tuple[int, int],
+    body: Callable[..., Iterable[tuple[object, object]]],
+) -> None:
+    """Tally the outcomes of body on every sample tuple into checks.
+
+    body(*sample) runs once per tuple of sample_stream (arity is its
+    count of scalars and of vectors) and yields (law key, outcome) for
+    each law it decided on that tuple; checks maps each law key to its
+    ItemCheck. A falsy outcome passes, a Witness or a list of them
+    fails, and an Unbounded witness marks the law unbounded. A law not
+    yielded on a tuple is not sampled on it.
+    """
+    for sample in _rows(cfg, model.field, model.dim, arity):
+        for law, outcome in body(*sample):
+            check = checks[law]
+            if not outcome:
+                check.samples += 1  # a pass keeps no witness
+            elif isinstance(outcome, Unbounded):
+                check.mark_unbounded(outcome)
+            elif isinstance(outcome, Witness):
+                check.sample([outcome])
+            else:
+                check.sample(outcome)
 
 
 def run_laws(
@@ -352,23 +445,12 @@ def run_laws(
 ) -> CheckReport:
     """Sample the laws of one suite and report one item per (id, anchor) row.
 
-    body(*sample) runs once per tuple of sample_stream (arity is its
-    count of scalars and of vectors) and yields (law id, outcome) for
-    each law it decided on that tuple. A falsy outcome passes, a Witness
-    or a list of them fails, and an Unbounded witness marks the law
-    unbounded. A law not yielded on a tuple is not sampled on it. With
-    vacuous, every item finishes vacuous unless it hit an unbounded
+    body yields (law id, outcome) pairs, tallied as tally_laws says.
+    With vacuous, every item finishes vacuous unless it hit an unbounded
     supremum.
     """
     checks = {law: ItemCheck(law, anchor) for law, anchor in items}
-    for sample in sample_stream(cfg, model.field, model.dim, *arity):
-        for law, outcome in body(*sample):
-            if isinstance(outcome, Unbounded):
-                checks[law].mark_unbounded(outcome)
-            elif isinstance(outcome, Witness):
-                checks[law].sample([outcome])
-            else:
-                checks[law].sample(outcome or [])
+    tally_laws(checks, model, cfg, arity, body)
     return CheckReport(
         model.describe(), suite, [check.finish(vacuous) for check in checks.values()]
     )
@@ -382,7 +464,9 @@ def run_suites(
     Each suite's dependencies (see SUITES) run first and are handed to
     it. Every report is kept in memo, so one report per suite, model,
     inner product and config is computed however many suites read it;
-    pass the same memo to calls that belong to one run.
+    pass the same memo to calls that belong to one run. The memo also
+    keeps what the suites of a run share: each sample stream, drawn
+    once up to STREAM_BUDGET, and values kept by per_run.
 
     Suites whose precondition fails (complex field for real_ip, missing
     or failed hyperinner axioms for the derived suites) are reported
@@ -392,7 +476,11 @@ def run_suites(
         if name not in SUITES:
             raise ValueError(f"unknown suite: {name!r}")
     memo = {} if memo is None else memo
-    return [_run_suite(name, model, ip, cfg, memo) for name in suites]
+    token = _RUN_MEMO.set(memo)
+    try:
+        return [_run_suite(name, model, ip, cfg, memo) for name in suites]
+    finally:
+        _RUN_MEMO.reset(token)
 
 
 def _run_suite(name: str, model, ip, cfg: SampleConfig, memo: dict) -> CheckReport:

@@ -24,6 +24,10 @@ for a finite a o x, so it prints the same way.
 check_weak_normal asks only that the sumset of two essential sets meets
 the target essential set. check_strong_normal asks that every choice of
 summands lands in the target and that the target holds nothing else.
+Both read the same sums, so one law generator decides both on each
+tuple and one pass builds the two reports, shared by the two suites of
+a run (checker.per_run); the weak reading misses exactly when every sum
+is outside the target.
 check_normal_equivalence compares the two reports and flags models
 where the readings disagree; its two verdict items are summary items
 (checker.summary_item) of the reports they name.
@@ -34,10 +38,13 @@ from __future__ import annotations
 from .checker import (
     CheckItem,
     CheckReport,
+    ItemCheck,
     SampleConfig,
     Witness,
+    per_run,
     run_laws,
     summary_item,
+    tally_laws,
 )
 from .models import (
     FiniteSet,
@@ -161,60 +168,49 @@ def check_lemma_basic(
     return run_laws(model, "lemma_basic", _LEMMA_BASIC_ITEMS, cfg, (2, 1), laws)
 
 
-def check_weak_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> CheckReport:
-    """Sumset reading: essential sumsets must meet the target essential set."""
-    cfg = cfg or SampleConfig()
-    missed = "essential sumset misses the target essential set"
-
-    def laws(a1, a2, x1, x2):
-        e1 = essential_points(model, a1, x1)
-        e2 = essential_points(model, a2, x1)
-        target = essential_points(model, a1 + a2, x1)
-        yield "scalar_condition", not any(
-            p + q in target.elements for p in e1.elements for q in e2.elements
-        ) and Witness(
-            {
-                "a1": a1, "a2": a2, "x": x1,
-                "E[a1 o x]": e1, "E[a2 o x]": e2, "E[(a1+a2) o x]": target,
-            },
-            missed,
-        )
-
-        f2 = essential_points(model, a1, x2)
-        target2 = essential_points(model, a1, x1 + x2)
-        yield "vector_condition", not any(
-            p + q in target2.elements for p in e1.elements for q in f2.elements
-        ) and Witness(
-            {
-                "a": a1, "x1": x1, "x2": x2,
-                "E[a o x1]": e1, "E[a o x2]": f2, "E[a o (x1+x2)]": target2,
-            },
-            missed,
-        )
-
-    items = (
+_READINGS = {
+    "weak_normal": (
         ("scalar_condition", "(E[a1 o x] + E[a2 o x]) meets E[(a1+a2) o x]"),
         ("vector_condition", "(E[a o x1] + E[a o x2]) meets E[a o (x1+x2)]"),
-    )
-    return run_laws(model, "weak_normal", items, cfg, (2, 2), laws)
+    ),
+    "strong_normal": (
+        (
+            "scalar_condition",
+            "E[a1 o x] + E[a2 o x] = E[(a1+a2) o x] for every choice of summands",
+        ),
+        (
+            "vector_condition",
+            "E[a o x1] + E[a o x2] = E[a o (x1+x2)] for every choice of summands",
+        ),
+    ),
+}
 
 
-def _strong_violations(
-    given: dict, e1: FiniteSet, e2: FiniteSet, target: FiniteSet
-) -> list[Witness]:
-    """Sums of choices outside the target and target points that no sum
-    of choices reaches."""
+def _read_condition(
+    law: str, given: dict, names: tuple[str, str, str], sets: tuple[FiniteSet, ...]
+):
+    """Both readings of one condition: E1 + E2 against the target E,
+    with sets = (E1, E2, E) bound under names in a weak witness.
+
+    The strong reading lists the sums of choices outside the target and
+    the target points no sum reaches. The weak one asks that some sum
+    lands in the target: it fails exactly when every sum is outside.
+    """
+    e1, e2, target = sets
     sums = [(p1, p2, p1 + p2) for p1 in e1.elements for p2 in e2.elements]
-    violations = [
+    outside = [(p1, p2, s) for p1, p2, s in sums if s not in target.elements]
+    yield ("weak_normal", law), len(outside) == len(sums) and Witness(
+        {**given, **dict(zip(names, sets))},
+        "essential sumset misses the target essential set",
+    )
+    achievable = {s for _, _, s in sums}
+    yield ("strong_normal", law), [
         Witness(
             {**given, "choice1": p1, "choice2": p2, "sum": s, "target": target},
             "sum of essential choices is not an essential point of the target",
         )
-        for p1, p2, s in sums
-        if s not in target.elements
-    ]
-    achievable = {s for _, _, s in sums}
-    return violations + [
+        for p1, p2, s in outside
+    ] + [
         Witness(
             {**given, "missing": t, "target": target},
             "target essential point is not achievable as a sum of choices",
@@ -224,38 +220,59 @@ def _strong_violations(
     ]
 
 
+def _sample_readings(model: ModelSpec, cfg: SampleConfig) -> dict[str, CheckReport]:
+    """The weak_normal and strong_normal reports from one pass over the
+    samples: five essential sets per tuple, read by both."""
+
+    def laws(a1, a2, x1, x2):
+        e1 = essential_points(model, a1, x1)
+        yield from _read_condition(
+            "scalar_condition",
+            {"a1": a1, "a2": a2, "x": x1},
+            ("E[a1 o x]", "E[a2 o x]", "E[(a1+a2) o x]"),
+            (e1, essential_points(model, a2, x1), essential_points(model, a1 + a2, x1)),
+        )
+        yield from _read_condition(
+            "vector_condition",
+            {"a": a1, "x1": x1, "x2": x2},
+            ("E[a o x1]", "E[a o x2]", "E[a o (x1+x2)]"),
+            (e1, essential_points(model, a1, x2), essential_points(model, a1, x1 + x2)),
+        )
+
+    checks = {
+        (suite, law): ItemCheck(law, anchor)
+        for suite, items in _READINGS.items()
+        for law, anchor in items
+    }
+    tally_laws(checks, model, cfg, (2, 2), laws)
+    return {
+        suite: CheckReport(
+            model.describe(),
+            suite,
+            [check.finish() for (name, _), check in checks.items() if name == suite],
+        )
+        for suite in _READINGS
+    }
+
+
+def _normality_readings(model: ModelSpec, cfg: SampleConfig) -> dict[str, CheckReport]:
+    """_sample_readings, computed once for the weak_normal and
+    strong_normal suites of one run."""
+    return per_run(("normality readings", model, cfg), lambda: _sample_readings(model, cfg))
+
+
+def check_weak_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> CheckReport:
+    """Sumset reading: essential sumsets must meet the target essential set."""
+    return _normality_readings(model, cfg or SampleConfig())["weak_normal"]
+
+
 def check_strong_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> CheckReport:
     """All-choices equality reading of normality.
 
     Every sum of essential choices must be an essential point of the
     target, and the target must hold nothing beyond those sums.
     """
-    cfg = cfg or SampleConfig()
-
-    def laws(a1, a2, x1, x2):
-        e1 = essential_points(model, a1, x1)
-        e2 = essential_points(model, a2, x1)
-        target = essential_points(model, a1 + a2, x1)
-        yield "scalar_condition", _strong_violations(
-            {"a1": a1, "a2": a2, "x": x1}, e1, e2, target
-        )
-        f2 = essential_points(model, a1, x2)
-        target2 = essential_points(model, a1, x1 + x2)
-        yield "vector_condition", _strong_violations(
-            {"a": a1, "x1": x1, "x2": x2}, e1, f2, target2
-        )
-
-    items = (
-        (
-            "scalar_condition",
-            "E[a1 o x] + E[a2 o x] = E[(a1+a2) o x] for every choice of summands",
-        ),
-        (
-            "vector_condition",
-            "E[a o x1] + E[a o x2] = E[a o (x1+x2)] for every choice of summands",
-        ),
-    )
-    return run_laws(model, "strong_normal", items, cfg, (2, 2), laws)
+    return _normality_readings(model, cfg or SampleConfig())["strong_normal"]
 
 
 def check_normal_equivalence(

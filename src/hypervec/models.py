@@ -405,19 +405,20 @@ def check_wvs_axioms(model: ModelSpec, cfg: SampleConfig | None = None) -> Check
     """Sample-check the five weak-space axioms with exact verdicts."""
     cfg = cfg or SampleConfig()
     one = model.admit_scalar(1)
+    apply, zero = model.family.apply, model.zero()
 
     def laws(a, b, x, y):
-        ax, classical_ax = product(model, a, x), x.scaled(a)
+        # each classical value scaled once, then a o x, a o y and b o x from it
+        classical_ax, classical_ay, classical_bx = x.scaled(a), y.scaled(a), x.scaled(b)
+        ax, bx = apply(classical_ax, zero), apply(classical_bx, zero)
         _classical_sum_meets(
-            product(model, a, x + y), ax, classical_ax, product(model, a, y), y.scaled(a)
+            product(model, a, x + y), ax, classical_ax, apply(classical_ay, zero), classical_ay
         )
         yield "right_distributive", False
-        _classical_sum_meets(
-            product(model, a + b, x), ax, classical_ax, product(model, b, x), x.scaled(b)
-        )
+        _classical_sum_meets(product(model, a + b, x), ax, classical_ax, bx, classical_bx)
         yield "left_distributive", False
 
-        swept = product_of_set(model, a, product(model, b, x))
+        swept = product_of_set(model, a, bx)
         direct = product(model, a * b, x)
         yield "scalar_associative", not hyperset_eq(swept, direct) and Witness(
             {"a": a, "b": b, "x": x, "swept": swept, "direct": direct},

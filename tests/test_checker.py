@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -47,7 +48,7 @@ from hypervec.models import (
     ray,
 )
 from hypervec.scalars import FieldTag, GaussianRational, format_scalar
-from hypervec.vectors import make_vector
+from hypervec.vectors import Vector, make_vector
 
 F = Fraction
 
@@ -158,6 +159,53 @@ class TestSampleStream:
         tuples = list(sample_stream(cfg, FieldTag.Q, 2, 2, 0))
         assert len(tuples) == 12
         assert all(len(t) == 2 for t in tuples)
+
+
+def reference_stream(cfg, field, dim, n_scalars, n_vectors):
+    """sample_stream built value by value: the forced prefix, then
+    SplitMix64.below for each numerator and denominator."""
+    slots = [forced_scalars(field)] * n_scalars + [forced_vectors(field, dim)] * n_vectors
+    rows = list(itertools.islice(itertools.product(*slots), cfg.samples)) if slots else []
+    rng, h = SplitMix64(cfg.seed), cfg.height
+
+    def ratio():
+        num = rng.below(2 * h + 1) - h
+        return F(num, rng.below(h) + 1)
+
+    def scalar():
+        return ratio() if field is FieldTag.Q else GaussianRational(ratio(), ratio())
+
+    while len(rows) < cfg.samples:
+        scalars = [scalar() for _ in range(n_scalars)]
+        rows.append(tuple(scalars + [Vector([scalar() for _ in range(dim)]) for _ in range(n_vectors)]))
+    return rows
+
+
+def typed(value):
+    """A value with its type, and a vector with its stored form."""
+    if isinstance(value, Vector):
+        return Vector, value.nums, value.ims, value.den
+    return type(value), value
+
+
+class TestSampleStreamMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([FieldTag.Q, FieldTag.QI]),
+        st.integers(1, 4),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.integers(0, (1 << 64) - 1),
+        st.integers(1, 120),
+        st.one_of(st.integers(1, 20), st.integers(1, 1 << 80)),
+    )
+    def test_values_and_types(self, field, dim, n_scalars, n_vectors, seed, samples, height):
+        cfg = SampleConfig(seed=seed, samples=samples, height=height)
+        got = list(sample_stream(cfg, field, dim, n_scalars, n_vectors))
+        expected = reference_stream(cfg, field, dim, n_scalars, n_vectors)
+        assert [tuple(map(typed, row)) for row in got] == [
+            tuple(map(typed, row)) for row in expected
+        ]
 
 
 def w(tag):
@@ -525,6 +573,48 @@ class TestDepthChangesNoReport:
         expected = rendered(1)
         for depth, flags in ((2, ()), (30, ()), (1, ("--depth", "8"))):
             assert rendered(depth, *flags) == expected
+
+
+def standalone_reports(model, ip, cfg):
+    """Every suite in SUITE_NAMES order, each check function called on
+    its own, with reports it reads computed afresh: nothing is shared."""
+    strong = lambda: essential.check_strong_normal(model, cfg)  # noqa: E731
+    hip = lambda: inner.check_hip_axioms(model, ip, cfg)  # noqa: E731
+    return [
+        check_wvs_axioms(model, cfg),
+        essential.check_lemma_basic(model, cfg, strong()),
+        essential.check_weak_normal(model, cfg),
+        strong(),
+        essential.check_normal_equivalence(
+            model, cfg, essential.check_weak_normal(model, cfg), strong()
+        ),
+        inner.check_real_ip_axioms(model, ip, cfg),
+        hip(),
+        inner.check_lemma_34(model, ip, cfg, hip()),
+        inner.check_theorem_normal(model, ip, cfg, hip(), strong()),
+        inner.check_norm_props(model, ip, cfg, hip()),
+    ]
+
+
+class TestSharedRunMatchesStandaloneChecks:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        FAMILIES,
+        st.sampled_from([FieldTag.Q, FieldTag.QI]),
+        st.integers(1, 4),
+        st.integers(0, (1 << 64) - 1),
+        st.integers(1, 40),
+    )
+    def test_same_document(self, family, field, dim, seed, samples):
+        if isinstance(family, Sign):
+            field = FieldTag.Q  # the sign family is defined over Q only
+        model, ip = ModelSpec(field, dim, family), DotProduct()
+        cfg = SampleConfig(seed=seed, samples=samples)
+        shared = run_suites(model, ip, cfg, list(SUITE_NAMES))
+        alone = standalone_reports(model, ip, cfg)
+        assert render_json(report_document(model.describe(), seed, shared)) == render_json(
+            report_document(model.describe(), seed, alone)
+        )
 
 
 class TestJson:

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from hypervec import essential, inner
+from hypervec import checker, essential, inner
 from hypervec.checker import SUITE_NAMES, SampleConfig, render_json, report_document
 from hypervec.cli import main
 from hypervec.dsl import parse_model_file
+from hypervec.scalars import FieldTag
 
 CORPUS = Path(__file__).parent / "corpus"
 GOLDEN = Path(__file__).parent / "golden"
@@ -210,6 +211,47 @@ class TestCheckSharesReports:
         capsys.readouterr()
         assert calls == [cfg]
         assert out.read_text() == render_json(report_document(mf.model.describe(), 42, alone))
+
+    @pytest.mark.parametrize(
+        "budget, draws",
+        [
+            (None, {(2, 2): 1, (2, 1): 1, (1, 3): 1, (1, 2): 1, (1, 1): 1}),
+            # room for the (2, 2) stream alone: 30 samples * (2 + 2*2) values
+            (180, {(2, 2): 1, (2, 1): 1, (1, 3): 2, (1, 2): 2, (1, 1): 1}),
+            # nothing kept: every suite draws again, while the two
+            # normality readings still share one pass
+            (0, {(2, 2): 2, (2, 1): 1, (1, 3): 2, (1, 2): 2, (1, 1): 1}),
+        ],
+    )
+    def test_each_stream_drawn_once_within_budget(
+        self, budget, draws, hvs, tmp_path, monkeypatch, capsys
+    ):
+        path = hvs(all_suites_file("trivial", samples=30))
+
+        def run():
+            out = tmp_path / "r.json"
+            code = main(["check", path, "--json", str(out)])
+            return code, capsys.readouterr(), out.read_bytes()
+
+        expected = run()  # at the default budget
+        if budget is not None:
+            monkeypatch.setattr(checker, "STREAM_BUDGET", budget)
+        streams = Counter()
+        stream = checker.sample_stream
+
+        def counted(cfg, field, dim, n_scalars, n_vectors):
+            streams[cfg, field, dim, n_scalars, n_vectors] += 1
+            return stream(cfg, field, dim, n_scalars, n_vectors)
+
+        monkeypatch.setattr(checker, "sample_stream", counted)
+        assert run() == expected
+        assert {key[:3] for key in streams} == {(SampleConfig(samples=30), FieldTag.Q, 2)}
+        assert {key[3:]: n for key, n in streams.items()} == draws
+        # the kept streams last one run: the next run draws as many again
+        assert run() == expected
+        assert {key[3:]: n for key, n in streams.items()} == {
+            arity: 2 * n for arity, n in draws.items()
+        }
 
     @pytest.mark.parametrize("family", ["trivial", "sign"])
     def test_full_run_matches_golden_report(self, family, hvs, tmp_path, capsys):

@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from hypervec.checker import SampleConfig
+from hypervec.checker import SampleConfig, Witness, run_laws
 from hypervec.essential import (
+    _READINGS,
+    _read_condition,
     check_lemma_basic,
     check_normal_equivalence,
     check_strong_normal,
@@ -20,6 +22,7 @@ from hypervec.models import (
     Trivial,
     ZeroAugmented,
     contains,
+    finite,
     product,
 )
 from hypervec.scalars import FieldTag, GaussianRational, invert, parse_scalar
@@ -192,6 +195,116 @@ class TestNormalityReadings:
         assert "readings disagree" in agree.witnesses[0].relation
         assert bad.item("weak_normality").status == "pass"
         assert bad.item("strong_normality").status == "fail"
+
+
+# The two readings as separate passes, one suite each: the oracle for
+# the one pass that builds both reports.
+
+
+def weak_oracle(model, cfg):
+    missed = "essential sumset misses the target essential set"
+
+    def laws(a1, a2, x1, x2):
+        e1 = essential_points(model, a1, x1)
+        e2 = essential_points(model, a2, x1)
+        target = essential_points(model, a1 + a2, x1)
+        yield "scalar_condition", weak_misses(
+            {"a1": a1, "a2": a2, "x": x1,
+             "E[a1 o x]": e1, "E[a2 o x]": e2, "E[(a1+a2) o x]": target},
+            e1, e2, target,
+        )
+        f2 = essential_points(model, a1, x2)
+        target2 = essential_points(model, a1, x1 + x2)
+        yield "vector_condition", weak_misses(
+            {"a": a1, "x1": x1, "x2": x2,
+             "E[a o x1]": e1, "E[a o x2]": f2, "E[a o (x1+x2)]": target2},
+            e1, f2, target2,
+        )
+
+    return run_laws(model, "weak_normal", _READINGS["weak_normal"], cfg, (2, 2), laws)
+
+
+def weak_misses(bindings, e1, e2, target):
+    return not any(
+        p + q in target.elements for p in e1.elements for q in e2.elements
+    ) and Witness(bindings, "essential sumset misses the target essential set")
+
+
+def strong_violations(given, e1, e2, target):
+    sums = [(p1, p2, p1 + p2) for p1 in e1.elements for p2 in e2.elements]
+    violations = [
+        Witness(
+            {**given, "choice1": p1, "choice2": p2, "sum": s, "target": target},
+            "sum of essential choices is not an essential point of the target",
+        )
+        for p1, p2, s in sums
+        if s not in target.elements
+    ]
+    achievable = {s for _, _, s in sums}
+    return violations + [
+        Witness(
+            {**given, "missing": t, "target": target},
+            "target essential point is not achievable as a sum of choices",
+        )
+        for t in target.elements
+        if t not in achievable
+    ]
+
+
+def strong_oracle(model, cfg):
+    def laws(a1, a2, x1, x2):
+        e1 = essential_points(model, a1, x1)
+        e2 = essential_points(model, a2, x1)
+        target = essential_points(model, a1 + a2, x1)
+        yield "scalar_condition", strong_violations(
+            {"a1": a1, "a2": a2, "x": x1}, e1, e2, target
+        )
+        f2 = essential_points(model, a1, x2)
+        target2 = essential_points(model, a1, x1 + x2)
+        yield "vector_condition", strong_violations(
+            {"a": a1, "x1": x1, "x2": x2}, e1, f2, target2
+        )
+
+    return run_laws(model, "strong_normal", _READINGS["strong_normal"], cfg, (2, 2), laws)
+
+
+def outcome_json(outcome):
+    witnesses = outcome if isinstance(outcome, list) else [outcome] if outcome else []
+    return [w.to_json() for w in witnesses]
+
+
+class TestOnePassReadings:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(
+            [Trivial(), ZeroAugmented(), Sign(), Geometric(F(1, 2)), Geometric(F(2))]
+        ),
+        st.sampled_from([FieldTag.Q, FieldTag.QI]),
+        st.integers(1, 4),
+        st.integers(0, (1 << 64) - 1),
+        st.integers(1, 60),
+    )
+    def test_reports_match_separate_passes(self, family, field, dim, seed, samples):
+        if isinstance(family, Sign):
+            field = FieldTag.Q  # the sign family is defined over Q only
+        model = ModelSpec(field, dim, family)
+        cfg = SampleConfig(seed=seed, samples=samples)
+        assert check_weak_normal(model, cfg).to_json() == weak_oracle(model, cfg).to_json()
+        assert check_strong_normal(model, cfg).to_json() == strong_oracle(model, cfg).to_json()
+
+    @given(st.lists(st.lists(st.integers(-2, 2), min_size=1, max_size=3), min_size=3, max_size=3))
+    def test_condition_on_any_sets(self, coords):
+        # no family misses the weak reading; arbitrary sets reach it
+        e1, e2, target = (finite(qv(c, 0) for c in cs) for cs in coords)
+        given = {"a": 1}
+        names = ("E1", "E2", "E")
+        (weak_key, weak), (strong_key, strong) = _read_condition(
+            "law", given, names, (e1, e2, target)
+        )
+        assert (weak_key, strong_key) == (("weak_normal", "law"), ("strong_normal", "law"))
+        bindings = {**given, "E1": e1, "E2": e2, "E": target}
+        assert outcome_json(weak) == outcome_json(weak_misses(bindings, e1, e2, target))
+        assert outcome_json(strong) == outcome_json(strong_violations(given, e1, e2, target))
 
 
 def test_geometric_two_strongly_normal(fast_cfg):
