@@ -24,6 +24,7 @@ from .checker import (
     CheckReport,
     SUITE_NAMES,
     SampleConfig,
+    plan_run,
     render_json,
     report_document,
     run_suites,
@@ -75,10 +76,12 @@ def _print_report(report: CheckReport, out: IO[str]) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     mf = _load_model_file(args.file)
     _effective_config({}, args)  # a bad flag exits 2 even when no directive runs
+    cfgs = [_effective_config(directive.params, args) for directive in mf.checks]
     reports: list[CheckReport] = []
     memo: dict = {}  # shared by the directives, so no report is computed twice
-    for directive in mf.checks:
-        cfg = _effective_config(directive.params, args)
+    # planned whole, so one pass over each sample stream serves every directive
+    plan_run(memo, mf.model, mf.inner, zip((d.suite for d in mf.checks), cfgs))
+    for directive, cfg in zip(mf.checks, cfgs):
         reports.extend(run_suites(mf.model, mf.inner, cfg, [directive.suite], memo))
     if not mf.checks:
         print("nothing to run: the file declares no check directives")

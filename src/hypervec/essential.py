@@ -24,10 +24,11 @@ for a finite a o x, so it prints the same way.
 check_weak_normal asks only that the sumset of two essential sets meets
 the target essential set. check_strong_normal asks that every choice of
 summands lands in the target and that the target holds nothing else.
-Both read the same sums, so one law generator decides both on each
-tuple and one pass builds the two reports, shared by the two suites of
-a run (checker.per_run); the weak reading misses exactly when every sum
-is outside the target.
+Both read the same sums, so one law builder decides the readings a run
+plans on each tuple from one set of five essential sets; the weak
+reading misses exactly when every sum is outside the target. Their
+(2, 2) stream is the one wvs_axioms reads, and one pass evaluates all
+three (checker.stream_report).
 check_normal_equivalence compares the two reports and flags models
 where the readings disagree; its two verdict items are summary items
 (checker.summary_item) of the reports they name.
@@ -38,13 +39,11 @@ from __future__ import annotations
 from .checker import (
     CheckItem,
     CheckReport,
-    ItemCheck,
     SampleConfig,
     Witness,
-    per_run,
-    run_laws,
+    stream_report,
+    suite_laws,
     summary_item,
-    tally_laws,
 )
 from .models import (
     FiniteSet,
@@ -123,6 +122,11 @@ def check_lemma_basic(
 
     strong is the strong_normal report for the same model and config.
     """
+    return stream_report("lemma_basic", model, None, cfg, strong)
+
+
+def _lemma_basic_laws(model: ModelSpec, ip, suites: tuple[str, ...], strong: CheckReport):
+    """The law set of lemma_basic on one (2, 1) tuple (see checker.Suite)."""
     one = model.admit_scalar(1)
     strong_ok = strong.all_passed
 
@@ -165,7 +169,7 @@ def check_lemma_basic(
                 "essential set is not a singleton although the all-choices reading holds",
             )
 
-    return run_laws(model, "lemma_basic", _LEMMA_BASIC_ITEMS, cfg, (2, 1), laws)
+    return suite_laws("lemma_basic", _LEMMA_BASIC_ITEMS, laws)
 
 
 _READINGS = {
@@ -187,10 +191,15 @@ _READINGS = {
 
 
 def _read_condition(
-    law: str, given: dict, names: tuple[str, str, str], sets: tuple[FiniteSet, ...]
+    law: str,
+    given: dict,
+    names: tuple[str, str, str],
+    sets: tuple[FiniteSet, ...],
+    suites: tuple[str, ...],
 ):
-    """Both readings of one condition: E1 + E2 against the target E,
-    with sets = (E1, E2, E) bound under names in a weak witness.
+    """The readings of suites (weak_normal, strong_normal or both) of
+    one condition: E1 + E2 against the target E, with sets = (E1, E2, E)
+    bound under names in a weak witness.
 
     The strong reading lists the sums of choices outside the target and
     the target points no sum reaches. The weak one asks that some sum
@@ -199,30 +208,33 @@ def _read_condition(
     e1, e2, target = sets
     sums = [(p1, p2, p1 + p2) for p1 in e1.elements for p2 in e2.elements]
     outside = [(p1, p2, s) for p1, p2, s in sums if s not in target.elements]
-    yield ("weak_normal", law), len(outside) == len(sums) and Witness(
-        {**given, **dict(zip(names, sets))},
-        "essential sumset misses the target essential set",
-    )
-    achievable = {s for _, _, s in sums}
-    yield ("strong_normal", law), [
-        Witness(
-            {**given, "choice1": p1, "choice2": p2, "sum": s, "target": target},
-            "sum of essential choices is not an essential point of the target",
+    if "weak_normal" in suites:
+        yield ("weak_normal", law), len(outside) == len(sums) and Witness(
+            {**given, **dict(zip(names, sets))},
+            "essential sumset misses the target essential set",
         )
-        for p1, p2, s in outside
-    ] + [
-        Witness(
-            {**given, "missing": t, "target": target},
-            "target essential point is not achievable as a sum of choices",
-        )
-        for t in target.elements
-        if t not in achievable
-    ]
+    if "strong_normal" in suites:
+        achievable = {s for _, _, s in sums}
+        yield ("strong_normal", law), [
+            Witness(
+                {**given, "choice1": p1, "choice2": p2, "sum": s, "target": target},
+                "sum of essential choices is not an essential point of the target",
+            )
+            for p1, p2, s in outside
+        ] + [
+            Witness(
+                {**given, "missing": t, "target": target},
+                "target essential point is not achievable as a sum of choices",
+            )
+            for t in target.elements
+            if t not in achievable
+        ]
 
 
-def _sample_readings(model: ModelSpec, cfg: SampleConfig) -> dict[str, CheckReport]:
-    """The weak_normal and strong_normal reports from one pass over the
-    samples: five essential sets per tuple, read by both."""
+def _normality_laws(model: ModelSpec, ip, suites: tuple[str, ...]):
+    """The law set of the normality readings in suites on one (2, 2)
+    tuple: five essential sets per tuple, read by both (see
+    checker.Suite)."""
 
     def laws(a1, a2, x1, x2):
         e1 = essential_points(model, a1, x1)
@@ -231,39 +243,22 @@ def _sample_readings(model: ModelSpec, cfg: SampleConfig) -> dict[str, CheckRepo
             {"a1": a1, "a2": a2, "x": x1},
             ("E[a1 o x]", "E[a2 o x]", "E[(a1+a2) o x]"),
             (e1, essential_points(model, a2, x1), essential_points(model, a1 + a2, x1)),
+            suites,
         )
         yield from _read_condition(
             "vector_condition",
             {"a": a1, "x1": x1, "x2": x2},
             ("E[a o x1]", "E[a o x2]", "E[a o (x1+x2)]"),
             (e1, essential_points(model, a1, x2), essential_points(model, a1, x1 + x2)),
+            suites,
         )
 
-    checks = {
-        (suite, law): ItemCheck(law, anchor)
-        for suite, items in _READINGS.items()
-        for law, anchor in items
-    }
-    tally_laws(checks, model, cfg, (2, 2), laws)
-    return {
-        suite: CheckReport(
-            model.describe(),
-            suite,
-            [check.finish() for (name, _), check in checks.items() if name == suite],
-        )
-        for suite in _READINGS
-    }
-
-
-def _normality_readings(model: ModelSpec, cfg: SampleConfig) -> dict[str, CheckReport]:
-    """_sample_readings, computed once for the weak_normal and
-    strong_normal suites of one run."""
-    return per_run(("normality readings", model, cfg), lambda: _sample_readings(model, cfg))
+    return {suite: _READINGS[suite] for suite in suites}, laws
 
 
 def check_weak_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> CheckReport:
     """Sumset reading: essential sumsets must meet the target essential set."""
-    return _normality_readings(model, cfg or SampleConfig())["weak_normal"]
+    return stream_report("weak_normal", model, None, cfg or SampleConfig())
 
 
 def check_strong_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> CheckReport:
@@ -272,7 +267,7 @@ def check_strong_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> Ch
     Every sum of essential choices must be an essential point of the
     target, and the target must hold nothing beyond those sums.
     """
-    return _normality_readings(model, cfg or SampleConfig())["strong_normal"]
+    return stream_report("strong_normal", model, None, cfg or SampleConfig())
 
 
 def check_normal_equivalence(

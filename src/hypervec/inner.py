@@ -12,6 +12,15 @@ number.
 Square roots are never taken: norm laws are checked in squared form,
 and the triangle inequality reduces to re(x, y) <= sqrt(nsq(x)*nsq(y)),
 decided exactly by leq_sqrt_product.
+
+real_ip and hip, the two readings of the inner-product axioms, read the
+same (1, 3) sample tuples, and one law builder (_pairing_laws) decides
+the readings a run plans on each tuple, so (x,x), (x+y,z), (x,z)+(y,z),
+(x,y), (y,x), a*(x,y), E[a o x] and each (e,y) over it are computed
+once. lemma_34 and norm_props share (x,y), nsq(x), abs2(a)*nsq(x) and
+a o x on their (1, 2) tuples the same way (_norm_laws). A check
+function called on its own runs the same builder for its one suite
+(checker.stream_report).
 """
 
 from __future__ import annotations
@@ -28,7 +37,8 @@ from .checker import (
     SampleConfig,
     Unbounded,
     Witness,
-    run_laws,
+    stream_report,
+    suite_laws,
     summary_item,
     vacuous_report,
 )
@@ -270,50 +280,7 @@ def check_real_ip_axioms(
     cfg = cfg or SampleConfig()
     if ip is None or model.field is not FieldTag.Q:
         return vacuous_report(model.describe(), "real_ip", list(_REAL_IP_ITEMS))
-
-    def laws(a, x, y, z):
-        xx = as_real(pairing(ip, x, x))
-        if not x.is_zero:
-            yield "positive", xx <= 0 and Witness(
-                {"x": x, "(x,x)": xx}, "(x,x) is not positive for nonzero x"
-            )
-        yield "definite", (xx == 0) != x.is_zero and Witness(
-            {"x": x, "(x,x)": xx}, "(x,x) = 0 does not characterize x = 0"
-        )
-        lhs = pairing(ip, x + y, z)
-        rhs = pairing(ip, x, z) + pairing(ip, y, z)
-        yield "additive", lhs != rhs and Witness(
-            {"x": x, "y": y, "z": z, "(x+y,z)": lhs, "(x,z)+(y,z)": rhs},
-            "additivity in the first slot fails",
-        )
-        xy = pairing(ip, x, y)
-        yield "symmetric", pairing(ip, y, x) != xy and Witness(
-            {"x": x, "y": y}, "(y,x) differs from (x,y)"
-        )
-
-        expected = a * xy
-        try:
-            sup = sup_pairing(model, ip, a, x, y)
-        except UnboundedSupremumError as exc:
-            yield "sup_scaling", Unbounded(
-                {"a": a, "x": x, "y": y, "a o x": product(model, a, x)},
-                f"supremum is unbounded: {exc}",
-            )
-            return
-        note = "attained" if sup.attained else "not attained"
-        yield "sup_scaling", sup.value != expected and Witness(
-            {"a": a, "x": x, "y": y, "sup": f"{sup.value} ({note})", "a*(x,y)": expected},
-            "sup over a o x differs from a*(x,y)",
-        )
-        if sup.value == expected:
-            ess = essential_points(model, a, x)
-            attained = any(as_real(pairing(ip, e, y)) == sup.value for e in ess.elements)
-            yield "sup_attained_at_essential", not attained and Witness(
-                {"a": a, "x": x, "y": y, "sup": sup.value, "essential": ess},
-                "no essential point attains the supremum",
-            )
-
-    return run_laws(model, "real_ip", _REAL_IP_ITEMS, cfg, (1, 3), laws)
+    return stream_report("real_ip", model, ip, cfg)
 
 
 def check_hip_axioms(
@@ -323,45 +290,98 @@ def check_hip_axioms(
     cfg = cfg or SampleConfig()
     if ip is None:
         return vacuous_report(model.describe(), "hip", list(_HIP_ITEMS))
+    return stream_report("hip", model, ip, cfg)
+
+
+def _pairing_laws(model: ModelSpec, ip: InnerProductSpec, suites: tuple[str, ...]):
+    """The law set of real_ip and hip, those of them in suites, on one
+    (1, 3) tuple (see checker.Suite). Both read the same pairings, each
+    computed once; real_ip is left out over Q[i], where it is vacuous.
+    """
+    real = "real_ip" in suites and model.field is FieldTag.Q
+    hip = "hip" in suites
     one = model.admit_scalar(1)
 
     def laws(a, x, y, z):
-        xx = pairing(ip, x, x)
+        xx = pairing(ip, x, x)  # a Fraction over Q, where real_ip runs
         if not x.is_zero:
-            positive = imag_part(xx) == 0 and real_part(xx) > 0
-            yield "positive", not positive and Witness(
-                {"x": x, "(x,x)": xx}, "(x,x) is not real positive for nonzero x"
-            )
-        yield "definite", (xx == 0) != x.is_zero and Witness(
+            if real:
+                yield ("real_ip", "positive"), xx <= 0 and Witness(
+                    {"x": x, "(x,x)": xx}, "(x,x) is not positive for nonzero x"
+                )
+            if hip:
+                positive = imag_part(xx) == 0 and real_part(xx) > 0
+                yield ("hip", "positive"), not positive and Witness(
+                    {"x": x, "(x,x)": xx}, "(x,x) is not real positive for nonzero x"
+                )
+        definite = (xx == 0) != x.is_zero and Witness(
             {"x": x, "(x,x)": xx}, "(x,x) = 0 does not characterize x = 0"
         )
-        additive = pairing(ip, x + y, z) == pairing(ip, x, z) + pairing(ip, y, z)
-        yield "additive", not additive and Witness(
-            {"x": x, "y": y, "z": z}, "additivity in the first slot fails"
-        )
-        xy = pairing(ip, x, y)
-        yield "conjugate_symmetric", pairing(ip, y, x) != conjugate(xy) and Witness(
-            {"x": x, "y": y}, "(y,x) differs from conj((x,y))"
-        )
-
+        lhs = pairing(ip, x + y, z)
+        rhs = pairing(ip, x, z) + pairing(ip, y, z)
+        xy, yx = pairing(ip, x, y), pairing(ip, y, x)
         expected = a * xy
-        yield "essential_scaling", [
-            Witness(
-                {"a": a, "x": x, "y": y, "e": e, "(e,y)": got, "a*(x,y)": expected},
-                "(e,y) differs from a*(x,y) at an essential point",
+        if real:
+            yield ("real_ip", "definite"), definite
+            yield ("real_ip", "additive"), lhs != rhs and Witness(
+                {"x": x, "y": y, "z": z, "(x+y,z)": lhs, "(x,z)+(y,z)": rhs},
+                "additivity in the first slot fails",
             )
-            for e in essential_points(model, a, x).elements
-            if (got := pairing(ip, e, y)) != expected
-        ]
+            yield ("real_ip", "symmetric"), yx != xy and Witness(
+                {"x": x, "y": y}, "(y,x) differs from (x,y)"
+            )
+        if hip:
+            yield ("hip", "definite"), definite
+            yield ("hip", "additive"), lhs != rhs and Witness(
+                {"x": x, "y": y, "z": z}, "additivity in the first slot fails"
+            )
+            yield ("hip", "conjugate_symmetric"), yx != conjugate(xy) and Witness(
+                {"x": x, "y": y}, "(y,x) differs from conj((x,y))"
+            )
 
-        unit_set = product(model, one, x)
-        bad = _ball_violation(ip, unit_set, as_real(xx))
-        yield "unit_ball_bound", bad is not None and Witness(
-            {"x": x, "u": bad, "(u,u)": norm_sq(ip, bad), "(x,x)": xx, "1 o x": unit_set},
-            "element of 1 o x exceeds the length of x",
-        )
+        attains = False  # real_ip asks whether an essential point attains the sup
+        if real:
+            try:
+                sup = sup_pairing(model, ip, a, x, y)
+            except UnboundedSupremumError as exc:
+                yield ("real_ip", "sup_scaling"), Unbounded(
+                    {"a": a, "x": x, "y": y, "a o x": product(model, a, x)},
+                    f"supremum is unbounded: {exc}",
+                )
+            else:
+                note = "attained" if sup.attained else "not attained"
+                yield ("real_ip", "sup_scaling"), sup.value != expected and Witness(
+                    {"a": a, "x": x, "y": y, "sup": f"{sup.value} ({note})", "a*(x,y)": expected},
+                    "sup over a o x differs from a*(x,y)",
+                )
+                attains = sup.value == expected
+        if hip or attains:
+            ess = essential_points(model, a, x)
+            at_ess = [(e, pairing(ip, e, y)) for e in ess.elements]
+        if attains:
+            attained = any(as_real(got) == sup.value for _, got in at_ess)
+            yield ("real_ip", "sup_attained_at_essential"), not attained and Witness(
+                {"a": a, "x": x, "y": y, "sup": sup.value, "essential": ess},
+                "no essential point attains the supremum",
+            )
+        if hip:
+            yield ("hip", "essential_scaling"), [
+                Witness(
+                    {"a": a, "x": x, "y": y, "e": e, "(e,y)": got, "a*(x,y)": expected},
+                    "(e,y) differs from a*(x,y) at an essential point",
+                )
+                for e, got in at_ess
+                if got != expected
+            ]
+            unit_set = product(model, one, x)
+            bad = _ball_violation(ip, unit_set, as_real(xx))
+            yield ("hip", "unit_ball_bound"), bad is not None and Witness(
+                {"x": x, "u": bad, "(u,u)": norm_sq(ip, bad), "(x,x)": xx, "1 o x": unit_set},
+                "element of 1 o x exceeds the length of x",
+            )
 
-    return run_laws(model, "hip", _HIP_ITEMS, cfg, (1, 3), laws)
+    rows = {"real_ip": _REAL_IP_ITEMS, "hip": _HIP_ITEMS}
+    return {suite: rows[suite] for suite in suites if suite != "real_ip" or real}, laws
 
 
 def check_lemma_34(
@@ -380,38 +400,7 @@ def check_lemma_34(
         return vacuous_report(
             model.describe(), "lemma_34", list(_LEMMA_34_ITEMS), cfg.samples
         )
-    zero = model.zero()
-
-    def laws(a, x, y):
-        zero_ok = is_zero(pairing(ip, zero, x)) and is_zero(pairing(ip, x, zero))
-        yield "zero_pairing", not zero_ok and Witness(
-            {"x": x}, "pairing against 0 is not 0"
-        )
-
-        xy = pairing(ip, x, y)
-        negation_ok = pairing(ip, -x, y) == -xy and pairing(ip, x, -y) == -xy
-        yield "negation", not negation_ok and Witness(
-            {"x": x, "y": y, "(x,y)": xy}, "negation does not flip the pairing sign"
-        )
-
-        expected = conjugate(a) * xy
-        yield "conjugate_scaling", [
-            Witness(
-                {"a": a, "x": x, "y": y, "e": e, "(x,e)": got, "conj(a)*(x,y)": expected},
-                "(x,e) differs from conj(a)*(x,y) at an essential point",
-            )
-            for e in essential_points(model, a, y).elements
-            if (got := pairing(ip, x, e)) != expected
-        ]
-
-        bound = abs2(a) * norm_sq(ip, x)
-        bad = _ball_violation(ip, product(model, a, x), bound)
-        yield "scaled_ball_bound", bad is not None and Witness(
-            {"a": a, "x": x, "u": bad, "(u,u)": norm_sq(ip, bad), "abs2(a)*(x,x)": bound},
-            "element of a o x exceeds the scaled length bound",
-        )
-
-    return run_laws(model, "lemma_34", _LEMMA_34_ITEMS, cfg, (1, 2), laws)
+    return stream_report("lemma_34", model, ip, cfg, hip)
 
 
 def check_theorem_normal(
@@ -433,15 +422,8 @@ def check_theorem_normal(
     if ip is None:
         return vacuous_report(model.describe(), "theorem_normal", list(_THEOREM_ITEMS))
     hip_samples = max((it.samples for it in hip.items), default=0)
-
-    def laws(a, x):
-        ess = essential_points(model, a, x)
-        yield "essential_singletons", len(ess.elements) != 1 and Witness(
-            {"a": a, "x": x, "essential": ess}, "essential set is not a singleton"
-        )
-
     if hip.all_passed:
-        items = run_laws(model, "theorem_normal", _THEOREM_ITEMS[:1], cfg, (1, 1), laws).items
+        items = stream_report("theorem_normal", model, ip, cfg, hip, strong).items
         items.append(summary_item(*_THEOREM_ITEMS[1], strong.items))
     else:
         items = [CheckItem(*row, "vacuous", 0, []) for row in _THEOREM_ITEMS[:2]]
@@ -456,6 +438,25 @@ def check_theorem_normal(
     status = "fail" if contradiction else "pass"
     items.append(CheckItem(*_THEOREM_ITEMS[2], status, hip_samples, witnesses))
     return CheckReport(model.describe(), "theorem_normal", items)
+
+
+def _theorem_laws(
+    model: ModelSpec,
+    ip: InnerProductSpec,
+    suites: tuple[str, ...],
+    hip: CheckReport,
+    strong: CheckReport,
+):
+    """The law set of theorem_normal on one (1, 1) tuple (see
+    checker.Suite): its one sampled item."""
+
+    def laws(a, x):
+        ess = essential_points(model, a, x)
+        yield "essential_singletons", len(ess.elements) != 1 and Witness(
+            {"a": a, "x": x, "essential": ess}, "essential set is not a singleton"
+        )
+
+    return suite_laws("theorem_normal", _THEOREM_ITEMS[:1], laws)
 
 
 def check_norm_props(
@@ -474,27 +475,70 @@ def check_norm_props(
     """
     if ip is None:
         return vacuous_report(model.describe(), "norm_props", list(_NORM_ITEMS))
+    items = stream_report("norm_props", model, ip, cfg, hip, vacuous=not hip.all_passed).items
+    deps = [it for it in items if it.id in ("definite", "triangle", "sup_scaling")]
+    items.append(summary_item(*_NORM_ITEMS[-1], deps))
+    return CheckReport(model.describe(), "norm_props", items)
+
+
+def _norm_laws(
+    model: ModelSpec, ip: InnerProductSpec, suites: tuple[str, ...], hip: CheckReport
+):
+    """The law set of lemma_34 and norm_props, those of them in suites,
+    on one (1, 2) tuple (see checker.Suite). Both read (x,y), nsq(x),
+    abs2(a)*nsq(x) and a o x, each computed once; lemma_34 is left out
+    unless hip passed, where it is vacuous without sampling.
+    """
+    lemma = "lemma_34" in suites and hip.all_passed
+    norms = "norm_props" in suites
+    zero = model.zero()
 
     def laws(a, x, y):
+        xy = pairing(ip, x, y)
         nsx = norm_sq(ip, x)
+        bound = abs2(a) * nsx
+        s = product(model, a, x)
+        if lemma:
+            zero_ok = is_zero(pairing(ip, zero, x)) and is_zero(pairing(ip, x, zero))
+            yield ("lemma_34", "zero_pairing"), not zero_ok and Witness(
+                {"x": x}, "pairing against 0 is not 0"
+            )
+            negation_ok = pairing(ip, -x, y) == -xy and pairing(ip, x, -y) == -xy
+            yield ("lemma_34", "negation"), not negation_ok and Witness(
+                {"x": x, "y": y, "(x,y)": xy}, "negation does not flip the pairing sign"
+            )
+            expected = conjugate(a) * xy
+            yield ("lemma_34", "conjugate_scaling"), [
+                Witness(
+                    {"a": a, "x": x, "y": y, "e": e, "(x,e)": got, "conj(a)*(x,y)": expected},
+                    "(x,e) differs from conj(a)*(x,y) at an essential point",
+                )
+                for e in essential_points(model, a, y).elements
+                if (got := pairing(ip, x, e)) != expected
+            ]
+            bad = _ball_violation(ip, s, bound)
+            yield ("lemma_34", "scaled_ball_bound"), bad is not None and Witness(
+                {"a": a, "x": x, "u": bad, "(u,u)": norm_sq(ip, bad), "abs2(a)*(x,x)": bound},
+                "element of a o x exceeds the scaled length bound",
+            )
+        if not norms:
+            return
         nsy = norm_sq(ip, y)
         definite = nsx >= 0 and (nsx == 0) == x.is_zero
-        yield "definite", not definite and Witness(
+        yield ("norm_props", "definite"), not definite and Witness(
             {"x": x, "nsq(x)": nsx}, "squared norm is negative or does not characterize 0"
         )
-
-        xy = pairing(ip, x, y)
-        yield "cauchy_schwarz", abs2(xy) > nsx * nsy and Witness(
+        yield ("norm_props", "cauchy_schwarz"), abs2(xy) > nsx * nsy and Witness(
             {"x": x, "y": y, "abs2((x,y))": abs2(xy), "nsq(x)*nsq(y)": nsx * nsy},
             "Cauchy-Schwarz fails in squared form",
         )
-        yield "triangle", not leq_sqrt_product(real_part(xy), nsx, nsy) and Witness(
+        yield ("norm_props", "triangle"), not leq_sqrt_product(
+            real_part(xy), nsx, nsy
+        ) and Witness(
             {"x": x, "y": y, "re((x,y))": real_part(xy), "nsq(x)*nsq(y)": nsx * nsy},
             "triangle inequality fails in squared form",
         )
-
-        bound = abs2(a) * nsx
-        yield "essential_scaling", [
+        yield ("norm_props", "essential_scaling"), [
             Witness(
                 {"a": a, "x": x, "e": e, "nsq(e)": nse, "abs2(a)*nsq(x)": bound},
                 "essential point length does not scale with abs2(a)",
@@ -502,25 +546,18 @@ def check_norm_props(
             for e in essential_points(model, a, x).elements
             if (nse := norm_sq(ip, e)) != bound
         ]
-
-        s = product(model, a, x)
         try:
             sup = _sup(s, lambda u: norm_sq(ip, u), "(2k)")
         except UnboundedSupremumError as exc:
-            yield "sup_scaling", Unbounded(
+            yield ("norm_props", "sup_scaling"), Unbounded(
                 {"a": a, "x": x, "a o x": s},
                 f"supremum of squared norms is unbounded: {exc}",
             )
             return
-        yield "sup_scaling", sup.value != bound and Witness(
+        yield ("norm_props", "sup_scaling"), sup.value != bound and Witness(
             {"a": a, "x": x, "sup nsq": sup.value, "at": sup.witness, "abs2(a)*nsq(x)": bound},
             "sup of squared norms over a o x differs from abs2(a)*nsq(x)",
         )
 
-    items = run_laws(
-        model, "norm_props", _NORM_ITEMS[:-1], cfg, (1, 2), laws,
-        vacuous=not hip.all_passed,
-    ).items
-    deps = [it for it in items if it.id in ("definite", "triangle", "sup_scaling")]
-    items.append(summary_item(*_NORM_ITEMS[-1], deps))
-    return CheckReport(model.describe(), "norm_props", items)
+    rows = {"lemma_34": _LEMMA_34_ITEMS, "norm_props": _NORM_ITEMS[:-1]}
+    return {suite: rows[suite] for suite in suites if suite != "lemma_34" or lemma}, laws

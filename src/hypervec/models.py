@@ -15,6 +15,10 @@ Four product families are built in:
 * zero_augmented: a o x = {a*x, 0}
 * geometric(r):   a o x = {a*x*r^k : k >= 0} for a, x nonzero, else {0}
 * sign:           a o x = {a*x, -a*x}, over Q only
+
+check_wvs_axioms samples the five weak-space axioms on (2, 2) tuples,
+the stream the two normality readings of `essential` read too, so a run
+that plans them evaluates all three in one pass (checker.stream_report).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .checker import CheckReport, SampleConfig, Witness, run_laws
+from .checker import CheckReport, SampleConfig, Witness, stream_report, suite_laws
 from .scalars import FieldTag, Scalar, is_zero, make_scalar
 from .vectors import Vector, sorted_vectors, zero_vector
 
@@ -403,7 +407,11 @@ def _classical_sum_meets(whole: HyperSet, s1: HyperSet, u: Vector, s2: HyperSet,
 
 def check_wvs_axioms(model: ModelSpec, cfg: SampleConfig | None = None) -> CheckReport:
     """Sample-check the five weak-space axioms with exact verdicts."""
-    cfg = cfg or SampleConfig()
+    return stream_report("wvs_axioms", model, None, cfg or SampleConfig())
+
+
+def _wvs_laws(model: ModelSpec, ip, suites: tuple[str, ...]):
+    """The law set of wvs_axioms on one (2, 2) tuple (see checker.Suite)."""
     one = model.admit_scalar(1)
     apply, zero = model.family.apply, model.zero()
 
@@ -439,4 +447,4 @@ def check_wvs_axioms(model: ModelSpec, cfg: SampleConfig | None = None) -> Check
             {"x": x, "1 o x": unit}, "x is not an element of 1 o x"
         )
 
-    return run_laws(model, "wvs_axioms", _WVS_ITEMS, cfg, (2, 2), laws)
+    return suite_laws("wvs_axioms", _WVS_ITEMS, laws)

@@ -1,6 +1,7 @@
 """Deterministic sampling, report assembly, and JSON rendering."""
 
 import contextlib
+import importlib
 import io
 import itertools
 import json
@@ -17,6 +18,7 @@ from hypervec.checker import (
     ItemCheck,
     MAX_SAMPLES,
     MAX_WITNESSES,
+    SUITES,
     SUITE_NAMES,
     SampleConfig,
     SplitMix64,
@@ -24,6 +26,7 @@ from hypervec.checker import (
     Witness,
     forced_scalars,
     forced_vectors,
+    plan_run,
     render_json,
     report_document,
     roll_up,
@@ -615,6 +618,58 @@ class TestSharedRunMatchesStandaloneChecks:
         assert render_json(report_document(model.describe(), seed, shared)) == render_json(
             report_document(model.describe(), seed, alone)
         )
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        FAMILIES,
+        st.sampled_from([FieldTag.Q, FieldTag.QI]),
+        st.integers(1, 4),
+        st.integers(0, (1 << 64) - 1),
+        st.integers(1, 40),
+        st.lists(st.sampled_from(SUITE_NAMES), min_size=1, unique=True),
+    )
+    def test_planned_subset_matches(self, family, field, dim, seed, samples, suites):
+        # as the CLI runs a file: the run planned first, then one
+        # run_suites call per directive over the one memo
+        if isinstance(family, Sign):
+            field = FieldTag.Q  # the sign family is defined over Q only
+        model, ip = ModelSpec(field, dim, family), DotProduct()
+        cfg = SampleConfig(seed=seed, samples=samples)
+        memo = {}
+        plan_run(memo, model, ip, [(suite, cfg) for suite in suites])
+        shared = [run_suites(model, ip, cfg, [suite], memo)[0] for suite in suites]
+        alone = dict(zip(SUITE_NAMES, standalone_reports(model, ip, cfg)))
+        assert render_json(report_document(model.describe(), seed, shared)) == render_json(
+            report_document(model.describe(), seed, [alone[suite] for suite in suites])
+        )
+
+    @pytest.mark.parametrize("family", [Sign(), Geometric(F(2))], ids=repr)
+    def test_planning_only_hip_pairs_as_hip_alone(self, family, monkeypatch):
+        # real_ip reads the same stream, but a run that does not plan it
+        # must not evaluate its pairings
+        model, ip, cfg = ModelSpec(FieldTag.Q, 2, family), DotProduct(), SampleConfig(samples=60)
+        calls = []
+        pairing = inner.pairing
+        monkeypatch.setattr(inner, "pairing", lambda *args: calls.append(args) or pairing(*args))
+        check_hip_axioms(model, ip, cfg)
+        alone, calls[:] = list(calls), []
+        memo = {}
+        plan_run(memo, model, ip, [("wvs_axioms", cfg), ("hip", cfg)])
+        for suite in ("wvs_axioms", "hip"):
+            run_suites(model, ip, cfg, [suite], memo)
+        assert alone and calls == alone
+
+
+def test_suites_of_one_stream_take_the_same_arguments():
+    # one pass hands the same reports and inner product to every builder
+    # of a stream
+    by_stream = {}
+    for spec in SUITES.values():
+        if spec.stream is not None:
+            by_stream.setdefault(spec.stream, set()).add((spec.reads, spec.module == "inner"))
+            assert callable(getattr(importlib.import_module(f"hypervec.{spec.module}"), spec.laws))
+    assert sorted(by_stream) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+    assert all(len(kinds) == 1 for kinds in by_stream.values())
 
 
 class TestJson:

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -213,45 +214,71 @@ class TestCheckSharesReports:
         assert out.read_text() == render_json(report_document(mf.model.describe(), 42, alone))
 
     @pytest.mark.parametrize(
-        "budget, draws",
+        "text, stream, draws",
         [
-            (None, {(2, 2): 1, (2, 1): 1, (1, 3): 1, (1, 2): 1, (1, 1): 1}),
-            # room for the (2, 2) stream alone: 30 samples * (2 + 2*2) values
-            (180, {(2, 2): 1, (2, 1): 1, (1, 3): 2, (1, 2): 2, (1, 1): 1}),
-            # nothing kept: every suite draws again, while the two
-            # normality readings still share one pass
-            (0, {(2, 2): 2, (2, 1): 1, (1, 3): 2, (1, 2): 2, (1, 1): 1}),
+            pytest.param(
+                None,
+                (SampleConfig(samples=30), FieldTag.Q, 2),
+                {(2, 2): 1, (2, 1): 1, (1, 3): 1, (1, 2): 1, (1, 1): 1},
+                id="None-draws0",
+            ),
+            # 1400 * (1 + 3*16) = 68,600 values in the (1, 3) stream: more
+            # than a run could once keep (2^16), so each suite drew it again
+            pytest.param(
+                'model "m" { field Q dim 16 product trivial inner dot }\n'
+                "check real_ip samples=1400\ncheck hip samples=1400\n",
+                (SampleConfig(samples=1400), FieldTag.Q, 16),
+                {(1, 3): 1},
+                id="dim16-draws1",
+            ),
         ],
     )
     def test_each_stream_drawn_once_within_budget(
-        self, budget, draws, hvs, tmp_path, monkeypatch, capsys
+        self, text, stream, draws, hvs, tmp_path, monkeypatch, capsys
     ):
-        path = hvs(all_suites_file("trivial", samples=30))
+        path = hvs(text or all_suites_file("trivial", samples=30))
 
         def run():
             out = tmp_path / "r.json"
             code = main(["check", path, "--json", str(out)])
             return code, capsys.readouterr(), out.read_bytes()
 
-        expected = run()  # at the default budget
-        if budget is not None:
-            monkeypatch.setattr(checker, "STREAM_BUDGET", budget)
+        expected = run()
         streams = Counter()
-        stream = checker.sample_stream
+        draw = checker.sample_stream
 
         def counted(cfg, field, dim, n_scalars, n_vectors):
             streams[cfg, field, dim, n_scalars, n_vectors] += 1
-            return stream(cfg, field, dim, n_scalars, n_vectors)
+            return draw(cfg, field, dim, n_scalars, n_vectors)
 
         monkeypatch.setattr(checker, "sample_stream", counted)
         assert run() == expected
-        assert {key[:3] for key in streams} == {(SampleConfig(samples=30), FieldTag.Q, 2)}
+        assert {key[:3] for key in streams} == {stream}
         assert {key[3:]: n for key, n in streams.items()} == draws
-        # the kept streams last one run: the next run draws as many again
+        # nothing lasts beyond one run: the next run draws as many again
         assert run() == expected
         assert {key[3:]: n for key, n in streams.items()} == {
             arity: 2 * n for arity, n in draws.items()
         }
+
+    def test_memory_does_not_grow_with_samples(self, hvs, capsys):
+        # no sample tuple is kept: a stream ten times as long takes about
+        # as much memory (a kept (1, 3) stream of 2000 tuples takes MBs)
+        def peak(samples):
+            path = hvs(
+                'model "m" { field Q dim 2 product zero_augmented inner dot }\n'
+                f"check real_ip samples={samples}\ncheck hip samples={samples}\n"
+            )
+            tracemalloc.start()
+            try:
+                assert main(["check", path]) == 1
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak(200)  # the first run also allocates what every run reuses
+        assert peak(2000) - peak(200) < 200_000
 
     @pytest.mark.parametrize("family", ["trivial", "sign"])
     def test_full_run_matches_golden_report(self, family, hvs, tmp_path, capsys):

@@ -299,7 +299,7 @@ class TestOnePassReadings:
         given = {"a": 1}
         names = ("E1", "E2", "E")
         (weak_key, weak), (strong_key, strong) = _read_condition(
-            "law", given, names, (e1, e2, target)
+            "law", given, names, (e1, e2, target), tuple(_READINGS)
         )
         assert (weak_key, strong_key) == (("weak_normal", "law"), ("strong_normal", "law"))
         bindings = {**given, "E1": e1, "E2": e2, "E": target}

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hypervec import inner
+from hypervec import checker, inner
 from hypervec.checker import CheckReport, SampleConfig, run_suites, sample_stream
 from hypervec.essential import essential_points
 from hypervec.inner import (
@@ -375,7 +375,7 @@ class TestLemma34Suite:
         def no_sampling(*args, **kwargs):
             raise AssertionError("lemma_34 sampled under a failed premise")
 
-        monkeypatch.setattr(inner, "run_laws", no_sampling)
+        monkeypatch.setattr(checker, "sample_stream", no_sampling)
         report = check_lemma_34(model, DOT, fast_cfg, hip)
         assert [(i.id, i.anchor, i.status, i.samples, i.witnesses) for i in report.items] == [
             (i.id, i.anchor, "vacuous", fast_cfg.samples, []) for i in sampled.items
