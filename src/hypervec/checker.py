@@ -12,7 +12,9 @@ one run_suites memo (one `hypervec check` run) the first suite that
 needs a stream runs that pass for every planned suite of the stream
 (plan_run) and keeps the others' tallies until their check functions
 read them, so each stream is drawn once and no stream is kept. Nothing
-outlives the memo.
+outlives the memo. A check function called on its own is a run of its
+one suite: it plans that run on a fresh memo and reads its stream the
+same way.
 
 Several items make one status by a single rule, roll_up: unbounded,
 else fail, else pass, and vacuous only when every item is vacuous. It
@@ -220,15 +222,13 @@ class ItemCheck:
     Call sample(violations) once per evaluated tuple (empty list means
     the tuple passed); mark_unbounded when the computation itself blows
     up instead of yielding a value. finish() resolves the status with
-    precedence unbounded > vacuous > fail > pass; a vacuous finish drops
-    ordinary witnesses but keeps unbounded ones.
+    precedence unbounded > vacuous (no samples) > fail > pass.
 
     Each kind, ordinary and unbounded, keeps its first MAX_WITNESSES
-    distinct witnesses, deduplicated on their text. A kind that holds
-    that many renders no further witness: none of them could be
-    reported. The two kinds are deduplicated apart; no suite gives an
-    ordinary and an unbounded witness the same relation, so a shared
-    deduplication would keep the same witnesses.
+    distinct witnesses, deduplicated on their text in one set: no suite
+    gives an ordinary and an unbounded witness the same relation. A kind
+    that holds that many renders no further witness: none of them could
+    be reported.
     """
 
     def __init__(self, item_id: str, anchor: str):
@@ -238,41 +238,35 @@ class ItemCheck:
         self._witnesses: list[Witness] = []
         self._unbounded: list[Witness] = []
         self._seen: set[tuple] = set()
-        self._seen_unbounded: set[tuple] = set()
 
-    @staticmethod
-    def _add(into: list[Witness], seen: set[tuple], witness: Witness):
+    def _add(self, into: list[Witness], witness: Witness):
         if len(into) == MAX_WITNESSES:
             return
         # distinct sample tuples can reproduce the same violation; keep one
         key = (tuple(sorted(witness.bindings.items())), witness.relation)
-        if key not in seen:
-            seen.add(key)
+        if key not in self._seen:
+            self._seen.add(key)
             into.append(witness)
 
     def sample(self, violations: list[Witness]):
         self.samples += 1
         for witness in violations:
-            self._add(self._witnesses, self._seen, witness)
+            self._add(self._witnesses, witness)
 
     def mark_unbounded(self, witness: Witness):
         self.samples += 1
-        self._add(self._unbounded, self._seen_unbounded, witness)
+        self._add(self._unbounded, witness)
 
-    def finish(self, vacuous: bool = False) -> CheckItem:
+    def finish(self) -> CheckItem:
         if self._unbounded:
-            status = "unbounded"
-            witnesses = list(self._unbounded)
-        elif vacuous or self.samples == 0:
-            status = "vacuous"
-            witnesses = []
+            status, witnesses = "unbounded", self._unbounded
+        elif self.samples == 0:
+            status, witnesses = "vacuous", []
         elif self._witnesses:
-            status = "fail"
-            witnesses = list(self._witnesses)
+            status, witnesses = "fail", self._witnesses
         else:
-            status = "pass"
-            witnesses = []
-        return CheckItem(self.id, self.anchor, status, self.samples, witnesses)
+            status, witnesses = "pass", []
+        return CheckItem(self.id, self.anchor, status, self.samples, list(witnesses))
 
 
 class Unbounded(Witness):
@@ -463,54 +457,32 @@ def run_pass(
     }
 
 
-def run_laws(
-    model,
-    suite: str,
-    items: Iterable[tuple[str, str]],
-    cfg: SampleConfig,
-    arity: tuple[int, int],
-    body: Callable[..., Iterable[tuple[str, object]]],
-    vacuous: bool = False,
-) -> CheckReport:
-    """Sample the laws of one suite and report one item per (id, anchor) row.
-
-    The pass of one law set: body yields (law id, outcome) pairs,
-    tallied as run_pass says. With vacuous, every item finishes vacuous
-    unless it hit an unbounded supremum.
-    """
-    (checks,) = run_pass(model, cfg, arity, [suite_laws(suite, items, body)]).values()
-    return CheckReport(model.describe(), suite, [check.finish(vacuous) for check in checks])
-
-
-def stream_report(
-    suite: str, model, ip, cfg: SampleConfig, *reads: CheckReport, vacuous: bool = False
-) -> CheckReport:
+def stream_report(suite: str, model, ip, cfg: SampleConfig, *reads: CheckReport) -> CheckReport:
     """The sampled report of suite, from the one pass over its stream.
 
     reads are the reports the suite reads, and ip is None outside
-    `inner`. Outside a run the pass evaluates suite alone. In a run it
-    also evaluates every planned suite of the same stream that has no
-    report yet, and keeps their tallies in the memo until their own
-    check functions read them. vacuous finishes the items as run_laws
-    does.
+    `inner`. Outside a run, suite is planned alone on a fresh memo. The
+    pass evaluates suite and every planned suite of the same stream that
+    has no report yet, and keeps their tallies in the memo until their
+    own check functions read them.
     """
     memo = _RUN_MEMO.get()
+    if memo is None:
+        memo = {}
+        plan_run(memo, model, ip, [(suite, cfg)])
     kept = ("tally",) + _key(suite, model, ip, cfg)
-    if memo is not None and kept in memo:
+    if kept in memo:
         checks = memo.pop(kept)
     else:
         stream = SUITES[suite].stream
-        readers = [suite]
-        if memo is not None:
-            planned = memo.get(_PLAN, ())
-            readers += [
-                name
-                for name, spec in SUITES.items()
-                if name != suite
-                and spec.stream == stream
-                and _key(name, model, ip, cfg) in planned
-                and _key(name, model, ip, cfg) not in memo
-            ]
+        readers = [suite] + [
+            name
+            for name, spec in SUITES.items()
+            if name != suite
+            and spec.stream == stream
+            and _key(name, model, ip, cfg) in memo[_PLAN]
+            and _key(name, model, ip, cfg) not in memo
+        ]
         builders: dict[tuple[str, str], list[str]] = {}
         for name in readers:
             builders.setdefault((SUITES[name].module, SUITES[name].laws), []).append(name)
@@ -522,7 +494,14 @@ def stream_report(
         checks = tallies.pop(suite)
         for name, other in tallies.items():
             memo[("tally",) + _key(name, model, ip, cfg)] = other
-    return CheckReport(model.describe(), suite, [check.finish(vacuous) for check in checks])
+    return CheckReport(model.describe(), suite, [check.finish() for check in checks])
+
+
+def _reads(name: str, ip) -> tuple[str, ...]:
+    """The suites whose reports name reads: none for an inner suite
+    without an inner product, which is vacuous."""
+    spec = SUITES[name]
+    return () if spec.module == "inner" and ip is None else spec.reads
 
 
 def plan_run(memo: dict, model, ip, requests: Iterable[tuple[str, SampleConfig]]) -> None:
@@ -542,9 +521,7 @@ def plan_run(memo: dict, model, ip, requests: Iterable[tuple[str, SampleConfig]]
         key = _key(name, model, ip, cfg)
         if key not in planned:
             planned.add(key)
-            # without an inner product an inner suite is vacuous and reads nothing
-            if SUITES[name].module != "inner" or ip is not None:
-                todo += [(dep, cfg) for dep in SUITES[name].reads]
+            todo += [(dep, cfg) for dep in _reads(name, ip)]
 
 
 def run_suites(
@@ -579,9 +556,8 @@ def _run_suite(name: str, model, ip, cfg: SampleConfig, memo: dict) -> CheckRepo
         spec = SUITES[name]
         check = getattr(_module(spec.module), spec.check)
         args = (model, ip, cfg) if spec.module == "inner" else (model, cfg)
-        # without an inner product an inner suite is vacuous and reads nothing
-        needed = spec.module != "inner" or ip is not None
-        deps = [_run_suite(dep, model, ip, cfg, memo) if needed else None for dep in spec.reads]
+        reads = _reads(name, ip)
+        deps = [_run_suite(dep, model, ip, cfg, memo) if dep in reads else None for dep in spec.reads]
         memo[key] = check(*args, *deps)
     return memo[key]
 

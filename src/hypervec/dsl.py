@@ -16,13 +16,16 @@ Grammar (whitespace-insensitive, '#' comments to end of line):
     RATIONAL := INT ["/" INT]
     INT      := ["-"] ("0".."9")+
 
-Strings are double-quoted with no escape sequences. Every reported
-error, syntactic or semantic, carries a 1-based line and column plus
-the offending source line.
+Strings are double-quoted with no escape sequences. IDENT is a word
+that starts with a letter or '_'. One regular expression (_TOKEN) lexes
+the file, its rules tried in order at each position; a column is one
+character, tabs included. Every reported error, syntactic or semantic,
+carries a 1-based line and column plus the offending source line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -97,75 +100,38 @@ class _Token:
         return "end of file" if self.kind == "eof" else f"'{self.text}'"
 
 
-_PUNCT = "{}(),=/"
-# ASCII only: str.isdigit() also takes superscripts and other scripts'
-# digits, which int() reads differently or not at all
-_DIGITS = "0123456789"
+# The token rules, tried in order at each position. Digits are ASCII
+# only: str.isdigit() also takes superscripts and other scripts' digits,
+# which int() reads differently or not at all. \w is what str.isalnum()
+# takes, and '_'; a word that starts with neither a letter nor '_' is an
+# unexpected character. A '"' that no '"' closes on its line is an
+# unterminated string.
+_TOKEN = re.compile(
+    r'(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)|(?P<punct>[{}(),=/])'
+    r'|(?P<string>"[^"\n]*")|(?P<int>-?[0-9]+)|(?P<ident>\w+)|(?P<other>.)'
+)
 
 
 def _lex(text: str, lines: list[str]) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                raise ModelFileError(
-                    "unterminated string literal",
-                    start_line,
-                    start_col,
-                    source_line=_source_line(lines, start_line),
-                )
-            tokens.append(_Token("string", text[i + 1 : j], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch in _DIGITS or (ch == "-" and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("int", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ModelFileError(
-            f"unexpected character {ch!r}",
-            start_line,
-            start_col,
-            source_line=_source_line(lines, start_line),
-        )
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start, end = 1, 0, 0
+    for match in _TOKEN.finditer(text):
+        kind, value = match.lastgroup, match.group()
+        column = match.start() - line_start + 1
+        # a comment takes no column: end of file after one sits at its '#'
+        end = match.start() if kind == "comment" else match.end()
+        if kind == "newline":
+            line, line_start = line + 1, end
+        elif kind == "other" or (kind == "ident" and not (value[0].isalpha() or value[0] == "_")):
+            message = f"unexpected character {value[0]!r}"
+            if value == '"':
+                message = "unterminated string literal"
+            raise ModelFileError(message, line, column, source_line=_source_line(lines, line))
+        elif kind == "string":
+            tokens.append(_Token("string", value[1:-1], line, column))
+        elif kind not in ("space", "comment"):
+            tokens.append(_Token(value if kind == "punct" else kind, value, line, column))
+    tokens.append(_Token("eof", "", line, end - line_start + 1))
     return tokens
 
 

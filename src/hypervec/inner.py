@@ -19,8 +19,8 @@ the readings a run plans on each tuple, so (x,x), (x+y,z), (x,z)+(y,z),
 (x,y), (y,x), a*(x,y), E[a o x] and each (e,y) over it are computed
 once. lemma_34 and norm_props share (x,y), nsq(x), abs2(a)*nsq(x) and
 a o x on their (1, 2) tuples the same way (_norm_laws). A check
-function called on its own runs the same builder for its one suite
-(checker.stream_report).
+function called on its own is a run of its one suite and runs the same
+builder (checker.stream_report).
 """
 
 from __future__ import annotations
@@ -470,12 +470,18 @@ def check_norm_props(
 
     Unbounded suprema are always surfaced with status "unbounded", even
     under a failed precondition, so a divergent norm is never reported
-    as a number (or silently hidden). norm_axioms is the summary item of
-    definite, triangle and sup_scaling.
+    as a number (or silently hidden): under a failed hip every other
+    item is vacuous, keeping its sample count but no witnesses.
+    norm_axioms is the summary item of definite, triangle and
+    sup_scaling.
     """
     if ip is None:
         return vacuous_report(model.describe(), "norm_props", list(_NORM_ITEMS))
-    items = stream_report("norm_props", model, ip, cfg, hip, vacuous=not hip.all_passed).items
+    items = stream_report("norm_props", model, ip, cfg, hip).items
+    if not hip.all_passed:
+        for item in items:
+            if item.status != "unbounded":
+                item.status, item.witnesses = "vacuous", []
     deps = [it for it in items if it.id in ("definite", "triangle", "sup_scaling")]
     items.append(summary_item(*_NORM_ITEMS[-1], deps))
     return CheckReport(model.describe(), "norm_props", items)

@@ -337,23 +337,21 @@ def intersect_nonempty(s1: HyperSet, s2: HyperSet, depth: int) -> Vector | None:
 
 
 def _union(parts: list[HyperSet]) -> HyperSet:
+    """The one distinct part, or the finite set of all the parts' elements.
+
+    Wherever product_of_set takes a finite set, every family gives a
+    finite a o v (geometric's b o x is finite only as {0}), so a ray
+    among several distinct parts raises ModelError.
+    """
     distinct: list[HyperSet] = []
     for p in parts:
         if p not in distinct:
             distinct.append(p)
     if len(distinct) == 1:
         return distinct[0]
-    if all(isinstance(p, FiniteSet) for p in distinct):
-        elements: list[Vector] = []
-        for p in distinct:
-            elements.extend(p.elements)
-        return finite(elements)
-    rays = [p for p in distinct if isinstance(p, GeometricRay)]
-    if len(rays) == len(distinct) and len({r.ratio for r in rays}) == 1:
-        for candidate in rays:
-            if all(_ray_exponent(candidate, r.base) is not None for r in rays):
-                return candidate
-    raise ModelError("union of these hyperset shapes is not representable")
+    if not all(isinstance(p, FiniteSet) for p in distinct):
+        raise ModelError("union of these hyperset shapes is not representable")
+    return finite([v for p in distinct for v in p.elements])
 
 
 def product_of_set(model: ModelSpec, a: int | Scalar, s: HyperSet) -> HyperSet:

@@ -30,9 +30,10 @@ from hypervec.checker import (
     render_json,
     report_document,
     roll_up,
-    run_laws,
+    run_pass,
     run_suites,
     sample_stream,
+    suite_laws,
     summary_item,
     vacuous_report,
 )
@@ -264,18 +265,11 @@ class TestItemCheck:
     def test_zero_samples_is_vacuous(self):
         assert ItemCheck("x", "a").finish().status == "vacuous"
 
-    def test_vacuous_flag_hides_failures(self):
-        c = ItemCheck("x", "a")
-        c.sample([w("hidden")])
-        item = c.finish(vacuous=True)
-        assert item.status == "vacuous"
-        assert item.witnesses == []
-
     def test_unbounded_beats_everything(self):
         c = ItemCheck("x", "a")
         c.sample([w("f")])
         c.mark_unbounded(w("u"))
-        item = c.finish(vacuous=True)  # even under a failed precondition
+        item = c.finish()
         assert item.status == "unbounded"
         assert [x.bindings["k"] for x in item.witnesses] == ["u"]
 
@@ -307,10 +301,9 @@ class TestItemCheck:
                 st.tuples(st.just("unbounded"), st.lists(TAGGED, min_size=1, max_size=1)),
             ),
             max_size=40,
-        ),
-        st.booleans(),
+        )
     )
-    def test_keeps_what_eager_rendering_kept(self, events, vacuous):
+    def test_keeps_what_eager_rendering_kept(self, events):
         # the bookkeeping before rendering was deferred: every witness
         # rendered, and one deduplication set for both kinds; as in every
         # suite, no unbounded relation is also an ordinary one
@@ -328,10 +321,10 @@ class TestItemCheck:
                 if key not in seen:
                     seen.add(key)
                     kept[kind].append(witness.to_json())
-        item = c.finish(vacuous)
+        item = c.finish()
         if kept["unbounded"]:
             expected = ("unbounded", kept["unbounded"][:MAX_WITNESSES])
-        elif vacuous or not events:
+        elif not events:
             expected = ("vacuous", [])
         else:
             expected = ("fail" if kept["sample"] else "pass", kept["sample"][:MAX_WITNESSES])
@@ -344,9 +337,10 @@ SMALL = SampleConfig(samples=20)
 PLANE = ModelSpec(FieldTag.Q, 2, Trivial())
 
 
-def laws_report(body, vacuous=False):
-    """run_laws over ROWS on one scalar and one vector per sample."""
-    return run_laws(PLANE, "s", ROWS, SMALL, (1, 1), body, vacuous)
+def laws_report(body):
+    """run_pass over ROWS on one scalar and one vector per sample."""
+    (checks,) = run_pass(PLANE, SMALL, (1, 1), [suite_laws("s", ROWS, body)]).values()
+    return CheckReport(PLANE.describe(), "s", [check.finish() for check in checks])
 
 
 class TestRunLaws:
@@ -403,17 +397,6 @@ class TestRunLaws:
         a, b = laws_report(body).items
         assert a.status == "pass" and 0 < a.samples < 20
         assert (b.status, b.samples, b.witnesses) == ("vacuous", 0, [])
-
-    def test_vacuous_keeps_samples_and_unbounded_witnesses(self):
-        def body(a, x):
-            yield "a", Witness({"a": a}, "broken")
-            yield "b", Unbounded({"a": a}, "grows")
-
-        a, b = laws_report(body, vacuous=True).items
-        assert (a.status, a.samples, a.witnesses) == ("vacuous", 20, [])
-        assert (b.status, b.samples) == ("unbounded", 20)
-        assert len(b.witnesses) == MAX_WITNESSES
-        assert [w.bindings["a"] for w in b.witnesses][:3] == ["0", "1", "-1"]
 
     def test_bindings_render_as_text_forms(self):
         v = make_vector(FieldTag.Q, [1, F(-1, 2)])

@@ -132,6 +132,24 @@ class TestDiagnosticDetails:
         # caret line points at column 25, under the 'x'
         assert body[-1] == "    " + " " * 24 + "^"
 
+    @pytest.mark.parametrize(
+        "text, column, message",
+        [
+            ('model "m"#', 10, "expected '{', found end of file"),
+            ('model\t"m" {\tfield R dim 1 product trivial }', 19, "unknown field 'R'"),
+            ('model "m" {\r field R dim 1 product trivial }', 20, "unknown field 'R'"),
+            ('model "m" { field \u00e9 dim 1 product trivial }', 19, "unknown field '\u00e9'"),
+        ],
+        ids=["eof_after_comment", "tab", "carriage_return", "non_ascii_word"],
+    )
+    def test_lexer_columns(self, text, column, message):
+        # one column per character, a tab and a carriage return included;
+        # a comment takes none, so end of file after it sits at its '#'
+        with pytest.raises(ModelFileError) as exc_info:
+            parse_model_file(text)
+        err = exc_info.value
+        assert (err.line, err.column, err.message) == (1, column, message)
+
     def test_seed_range(self):
         text = 'model "m" { field Q dim 1 product trivial }\ncheck hip seed=%d'
         parse_model_file(text % ((1 << 64) - 1))

@@ -233,6 +233,13 @@ class TestSetAlgebra:
             [qv(2, 0), qv(0, 0)]
         )
 
+    def test_union_of_a_ray_part_raises(self):
+        # no family gives a ray a o v for a v of a finite set
+        rising = ray(qv(1, 0), F(2))
+        for parts in ([rising, finite([qv(0, 0)])], [rising, ray(qv(2, 0), F(2))]):
+            with pytest.raises(ModelError, match="not representable"):
+                models._union(parts)
+
 
 class TestModelSpec:
     def test_validation(self):
