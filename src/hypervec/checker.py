@@ -20,6 +20,12 @@ Several items make one status by a single rule, roll_up: unbounded,
 else fail, else pass, and vacuous only when every item is vacuous. It
 gives each summary item (summary_item: the normality verdicts and the
 norm axioms) and each suite's verdict in the catalog table.
+
+Value is the base of the package's value classes: the config and the
+report types here, the shapes and families of `models`, the inner
+products of `inner` and the parsed file of `dsl`. They are plain
+__slots__ classes: defining one generates no code at import, and a
+`hypervec check` process loads none of inspect, ast, dis or tokenize.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ import importlib
 import itertools
 import json
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -130,25 +135,52 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class Value:
+    """A value class: equal, hashed and shown by its fields.
+
+    A subclass names its fields in _fields and keeps them in __slots__,
+    as Vector does; its __init__ checks them and sets them. Values of
+    different classes are never equal. A value is immutable by
+    convention, as a Vector is: nothing stops an assignment. A mutable
+    one (CheckItem, CheckReport) sets __hash__ = None.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class SampleConfig(Value):
     """Knobs for the deterministic sample stream.
 
     height bounds numerators in [-height, height] and denominators in
     [1, height]; samples is at most MAX_SAMPLES.
     """
 
-    seed: int = 42
-    samples: int = 500
-    height: int = 10
+    __slots__ = _fields = ("seed", "samples", "height")
 
-    def __post_init__(self):
-        if not 0 <= self.seed <= _MASK64:
+    def __init__(self, seed: int = 42, samples: int = 500, height: int = 10):
+        if not 0 <= seed <= _MASK64:
             raise ValueError("seed must fit in 64 bits")
-        if not 1 <= self.samples <= MAX_SAMPLES:
+        if not 1 <= samples <= MAX_SAMPLES:
             raise ValueError(f"samples must be between 1 and {MAX_SAMPLES}")
-        if self.height < 1:
+        if height < 1:
             raise ValueError("height must be positive")
+        self.seed, self.samples, self.height = seed, samples, height
 
 
 class Witness:
@@ -173,13 +205,14 @@ class Witness:
         return {"bindings": dict(self.bindings), "relation": self.relation}
 
 
-@dataclass
-class CheckItem:
-    id: str
-    anchor: str
-    status: str  # pass | fail | vacuous | unbounded
-    samples: int
-    witnesses: list[Witness]
+class CheckItem(Value):
+    __slots__ = _fields = ("id", "anchor", "status", "samples", "witnesses")
+    __hash__ = None
+
+    def __init__(self, id: str, anchor: str, status: str, samples: int, witnesses: list[Witness]):
+        # status: pass | fail | vacuous | unbounded
+        self.id, self.anchor, self.status = id, anchor, status
+        self.samples, self.witnesses = samples, witnesses
 
     def to_json(self) -> dict:
         return {
@@ -191,11 +224,12 @@ class CheckItem:
         }
 
 
-@dataclass
-class CheckReport:
-    model: str
-    suite: str
-    items: list[CheckItem]
+class CheckReport(Value):
+    __slots__ = _fields = ("model", "suite", "items")
+    __hash__ = None
+
+    def __init__(self, model: str, suite: str, items: list[CheckItem]):
+        self.model, self.suite, self.items = model, suite, items
 
     @property
     def all_passed(self) -> bool:

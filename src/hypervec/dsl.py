@@ -20,16 +20,16 @@ Strings are double-quoted with no escape sequences. IDENT is a word
 that starts with a letter or '_'. One regular expression (_TOKEN) lexes
 the file, its rules tried in order at each position; a column is one
 character, tabs included. Every reported error, syntactic or semantic,
-carries a 1-based line and column plus the offending source line.
+carries a 1-based line and column plus the offending source line. Lines
+end at a line feed only, for the lexer and for the quoted line alike.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .checker import MAX_SAMPLES, SUITE_NAMES
+from .checker import MAX_SAMPLES, SUITE_NAMES, Value
 from .inner import DotProduct, InnerProductSpec, WeightedDot
 from .models import (
     MAX_DIM,
@@ -67,34 +67,35 @@ class ModelFileError(ValueError):
         super().__init__(rendered)
 
 
-@dataclass(frozen=True)
-class CheckDirective:
+class CheckDirective(Value):
     """One suite to run, with optional sampling-parameter overrides."""
 
-    suite: str
-    params: dict[str, int] = dc_field(default_factory=dict)
+    __slots__ = _fields = ("suite", "params")
+
+    def __init__(self, suite: str, params: dict[str, int] | None = None):
+        self.suite, self.params = suite, {} if params is None else params
 
 
-@dataclass(frozen=True)
-class ModelFile:
+class ModelFile(Value):
     """A parsed model declaration plus its check directives.
 
-    The name must not contain double quotes or newlines, or the
-    canonical printer's output stops being reparseable.
+    checks is a tuple of CheckDirective, in file order. The name must
+    not contain double quotes or newlines, or the canonical printer's
+    output stops being reparseable.
     """
 
-    name: str
-    model: ModelSpec
-    inner: InnerProductSpec | None
-    checks: tuple[CheckDirective, ...] = ()
+    __slots__ = _fields = ("name", "model", "inner", "checks")
+
+    def __init__(self, name: str, model: ModelSpec, inner: InnerProductSpec | None, checks=()):
+        self.name, self.model, self.inner, self.checks = name, model, inner, checks
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | int | string | one of {}()=,/ | eof
-    text: str
-    line: int
-    column: int
+class _Token(Value):
+    # kind: ident | int | string | one of {}()=,/ | eof
+    __slots__ = _fields = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind, self.text, self.line, self.column = kind, text, line, column
 
     def shown(self) -> str:
         return "end of file" if self.kind == "eof" else f"'{self.text}'"
@@ -141,7 +142,8 @@ def _source_line(lines: list[str], line: int) -> str:
 
 class _Parser:
     def __init__(self, text: str):
-        self.lines = text.splitlines()
+        # the lines the lexer counts: a CRLF line is quoted without its \r
+        self.lines = [line.removesuffix("\r") for line in text.split("\n")]
         self.tokens = _lex(text, self.lines)
         self.pos = 0
 

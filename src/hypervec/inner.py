@@ -25,7 +25,6 @@ builder (checker.stream_report).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -36,6 +35,7 @@ from .checker import (
     CheckReport,
     SampleConfig,
     Unbounded,
+    Value,
     Witness,
     stream_report,
     suite_laws,
@@ -69,36 +69,34 @@ class UnboundedSupremumError(ArithmeticError):
     """The requested supremum grows without bound."""
 
 
-@dataclass(frozen=True)
-class DotProduct:
+class DotProduct(Value):
     """Coordinatewise pairing sum x_i * conj(y_i)."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         return "dot"
 
 
-@dataclass(frozen=True)
-class WeightedDot:
+class WeightedDot(Value):
     """Pairing sum w_i * x_i * conj(y_i) with positive rational weights.
 
     The weights are also kept as integer numerators over one
-    denominator, the form pairing computes with.
+    denominator, the form pairing computes with; only the weights are
+    compared and shown.
     """
 
-    weights: tuple[Fraction, ...]
-    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    den: int = field(init=False, repr=False, compare=False)
+    _fields = ("weights",)
+    __slots__ = _fields + ("nums", "den")
 
-    def __post_init__(self):
-        if not self.weights:
+    def __init__(self, weights: tuple[Fraction, ...]):
+        if not weights:
             raise ModelError("weighted_dot needs at least one weight")
-        coerced = tuple(Fraction(w) for w in self.weights)
-        if any(w <= 0 for w in coerced):
+        self.weights = tuple(Fraction(w) for w in weights)
+        if any(w <= 0 for w in self.weights):
             raise ModelError("weights must be positive")
-        object.__setattr__(self, "weights", coerced)
-        den = lcm(*(w.denominator for w in coerced))
-        object.__setattr__(self, "nums", tuple(w.numerator * (den // w.denominator) for w in coerced))
-        object.__setattr__(self, "den", den)
+        self.den = den = lcm(*(w.denominator for w in self.weights))
+        self.nums = tuple(w.numerator * (den // w.denominator) for w in self.weights)
 
     def describe(self) -> str:
         return f"weighted_dot({', '.join(str(w) for w in self.weights)})"
@@ -141,11 +139,11 @@ def norm_sq(ip: InnerProductSpec, x: Vector) -> Fraction:
     return as_real(pairing(ip, x, x))
 
 
-@dataclass(frozen=True)
-class SupResult:
-    value: Fraction
-    attained: bool
-    witness: Vector | None
+class SupResult(Value):
+    __slots__ = _fields = ("value", "attained", "witness")
+
+    def __init__(self, value: Fraction, attained: bool, witness: Vector | None):
+        self.value, self.attained, self.witness = value, attained, witness
 
 
 def _sup(s: HyperSet, f: Callable[[Vector], Fraction], exponent: str) -> SupResult:

@@ -3,7 +3,7 @@
 A model is F^n together with a product ``a o x`` that yields a whole set
 of vectors. Only finitely describable shapes are allowed so membership,
 enumeration, and set equality stay exactly decidable. There are two
-set shapes:
+set shapes, each a value class (checker.Value) compared by its fields:
 
 * FiniteSet: explicit nonempty deduplicated set,
 * GeometricRay: {base * ratio^k : k >= 0} with nonzero base and a
@@ -24,11 +24,10 @@ that plans them evaluates all three in one pass (checker.stream_report).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .checker import CheckReport, SampleConfig, Witness, stream_report, suite_laws
+from .checker import CheckReport, SampleConfig, Value, Witness, stream_report, suite_laws
 from .scalars import FieldTag, Scalar, is_zero, make_scalar
 from .vectors import Vector, sorted_vectors, zero_vector
 
@@ -42,31 +41,44 @@ class ModelError(ValueError):
 MAX_DIM = 64
 
 
-@dataclass(frozen=True)
-class FiniteSet:
+class FiniteSet(Value):
     """Explicit finite set; elements are sorted and deduplicated."""
 
-    elements: tuple[Vector, ...]
+    __slots__ = _fields = ("elements",)
 
-    def __post_init__(self):
-        if not self.elements:
+    def __init__(self, elements: tuple[Vector, ...]):
+        if not elements:
             raise ModelError("a hyperset is never empty")
+        self.elements = elements
+
+    def __eq__(self, other):  # Value's, without its generic reads: this one is hot
+        if other.__class__ is not FiniteSet:
+            return NotImplemented
+        return self.elements == other.elements
+
+    __hash__ = Value.__hash__
 
     def __str__(self):
         return "{" + ", ".join(str(v) for v in self.elements) + "}"
 
 
-@dataclass(frozen=True)
-class GeometricRay:
+class GeometricRay(Value):
     """{base * ratio^k : k >= 0}; base nonzero, ratio positive and != 1."""
 
-    base: Vector
-    ratio: Fraction
+    __slots__ = _fields = ("base", "ratio")
 
-    def __post_init__(self):
-        if self.base.is_zero:
+    def __init__(self, base: Vector, ratio: Fraction):
+        if base.is_zero:
             raise ModelError("ray base must be nonzero; use ray() to normalize")
-        _validate_ratio(self.ratio)
+        _validate_ratio(ratio)
+        self.base, self.ratio = base, ratio
+
+    def __eq__(self, other):  # Value's, without its generic reads: this one is hot
+        if other.__class__ is not GeometricRay:
+            return NotImplemented
+        return (self.base, self.ratio) == (other.base, other.ratio)
+
+    __hash__ = Value.__hash__
 
     def __str__(self):
         return f"{{{self.base}*({self.ratio})^k : k >= 0}}"
@@ -105,9 +117,10 @@ def ray(base: Vector, ratio: Fraction) -> HyperSet:
 # holds the proof).
 
 
-@dataclass(frozen=True)
-class Trivial:
+class Trivial(Value):
     """a o x = {a*x}: the classical single-valued product."""
+
+    __slots__ = ()
 
     def __str__(self):
         return "trivial"
@@ -119,9 +132,10 @@ class Trivial:
         return (ax,)  # M = U(M) = {1}
 
 
-@dataclass(frozen=True)
-class ZeroAugmented:
+class ZeroAugmented(Value):
     """a o x = {a*x, 0}: the classical product with 0 adjoined."""
+
+    __slots__ = ()
 
     def __str__(self):
         return "zero_augmented"
@@ -133,14 +147,13 @@ class ZeroAugmented:
         return (ax,)  # M = {0, 1}, U(M) = {1}
 
 
-@dataclass(frozen=True)
-class Geometric:
+class Geometric(Value):
     """a o x = {a*x*ratio^k : k >= 0} for nonzero a and x, else {0}."""
 
-    ratio: Fraction
+    __slots__ = _fields = ("ratio",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "ratio", Fraction(self.ratio))
+    def __init__(self, ratio: Fraction):
+        self.ratio = Fraction(ratio)
         _validate_ratio(self.ratio)
 
     def __str__(self):
@@ -153,9 +166,10 @@ class Geometric:
         return (ax,)  # M = {ratio^k : k >= 0}, U(M) = {1}
 
 
-@dataclass(frozen=True)
-class Sign:
+class Sign(Value):
     """a o x = {a*x, -a*x}. Defined over Q only."""
+
+    __slots__ = ()
 
     def __str__(self):
         return "sign"
@@ -170,20 +184,18 @@ class Sign:
 Family = Union[Trivial, ZeroAugmented, Geometric, Sign]
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    field: FieldTag
-    dim: int
-    family: Family
-    # built once: every product asks for it
-    _zero: Vector = dc_field(init=False, repr=False, compare=False)
+class ModelSpec(Value):
+    _fields = ("field", "dim", "family")
+    # _zero is built once: every product asks for it
+    __slots__ = _fields + ("_zero",)
 
-    def __post_init__(self):
-        if not isinstance(self.dim, int) or not 1 <= self.dim <= MAX_DIM:
-            raise ModelError(f"dim must be an integer from 1 to {MAX_DIM}, got {self.dim!r}")
-        if isinstance(self.family, Sign) and self.field is FieldTag.QI:
+    def __init__(self, field: FieldTag, dim: int, family: Family):
+        if not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+            raise ModelError(f"dim must be an integer from 1 to {MAX_DIM}, got {dim!r}")
+        if isinstance(family, Sign) and field is FieldTag.QI:
             raise ModelError("the sign family is defined over Q only")
-        object.__setattr__(self, "_zero", zero_vector(self.field, self.dim))
+        self.field, self.dim, self.family = field, dim, family
+        self._zero = zero_vector(field, dim)
 
     def describe(self) -> str:
         return f"{self.family} {self.field} dim={self.dim}"
@@ -284,7 +296,7 @@ def hyperset_eq(s1: HyperSet, s2: HyperSet) -> bool:
     """Exact set equality across shapes.
 
     Both shapes are canonical, so set equality is equality of the
-    frozen shapes: a FiniteSet's elements are sorted and distinct, a ray
+    shape values: a FiniteSet's elements are sorted and distinct, a ray
     is infinite (base nonzero, ratio != 1 make all elements distinct) so
     it never equals a finite shape, and a ray determines its (base,
     ratio) pair uniquely: base is the extreme element and base*ratio

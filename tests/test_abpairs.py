@@ -1,0 +1,33 @@
+"""The summary of tools/abpairs.py on fixed numbers."""
+
+import importlib.util
+import os
+
+_PATH = os.path.join(os.path.dirname(__file__), "..", "tools", "abpairs.py")
+_SPEC = importlib.util.spec_from_file_location("abpairs", _PATH)
+abpairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(abpairs)
+
+
+def test_quartiles_are_inclusive_and_take_one_value():
+    assert abpairs.quartiles([5.0, 1.0, 3.0, 2.0, 4.0]) == (2.0, 3.0, 4.0)
+    assert abpairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_summary_counts_wins_in_each_metrics_direction():
+    parent = [1.0, 1.2, 1.1, 0.9, 1.0]
+    change = [0.8, 1.3, 0.9, 0.9, 0.7]  # lower in pairs 1, 3 and 5; a tie in 4
+    pairs = [
+        ({"wall_s": p, "ok_ratio": 1.0}, {"wall_s": c, "ok_ratio": 1.0})
+        for p, c in zip(parent, change)
+    ]
+    wall, ok = abpairs.summarize(pairs, {"wall_s": "lower", "ok_ratio": "higher"})
+    assert wall["parent"] == (1.0, 1.0, 1.1) and wall["change"] == (0.8, 0.9, 0.9)
+    assert abs(wall["delta"] - (-0.1)) < 1e-12
+    assert (wall["won"], wall["pairs"]) == (3, 5)
+    # ties win nothing, whichever the direction
+    assert (ok["won"], ok["delta"]) == (0, 0.0)
+    higher = abpairs.summarize(pairs, {"wall_s": "higher"})[0]
+    assert higher["won"] == 1
+    table = abpairs.format_rows([wall, ok])
+    assert "wall_s" in table.splitlines()[1] and table.splitlines()[1].endswith("3/5")

@@ -430,6 +430,17 @@ class TestReports:
         assert [i.status for i in rep.items] == ["vacuous", "vacuous"]
         assert rep.clean and not rep.all_passed
 
+    def test_items_and_reports_are_mutable_and_unhashable(self):
+        item = CheckItem("a", "x", "pass", 1, [])
+        rep = CheckReport("m", "s", [item])
+        assert item == CheckItem("a", "x", "pass", 1, []) and rep == CheckReport("m", "s", [item])
+        item.status, rep.model = "fail", "n"
+        assert rep.items[0].status == "fail" and rep != CheckReport("m", "s", [item])
+        # unhashable as a type, whatever the fields hold
+        for value in (CheckItem("a", "x", "pass", 1, ()), CheckReport("m", "s", ())):
+            with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
+                hash(value)
+
     def test_item_lookup(self):
         rep = CheckReport("m", "s", [CheckItem("a", "x", "pass", 1, [])])
         assert rep.item("a").status == "pass"

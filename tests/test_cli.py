@@ -481,3 +481,27 @@ class TestEntryPoints:
             text=True,
         )
         assert proc.returncode == 2
+
+
+class TestColdStart:
+    # Each report is a fresh `hypervec check` process, so every module the
+    # check path imports is paid for on every run. dataclasses pulls in
+    # inspect, ast, dis and tokenize, and nothing on the check path needs
+    # them; this pins the import graph without timing anything.
+    NOT_LOADED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+    def test_check_loads_no_dataclass_machinery(self, hvs):
+        code = (
+            "import sys, hypervec.cli\n"
+            "code = hypervec.cli.main(['check', sys.argv[1]])\n"
+            "print(code, sorted(set(sys.argv[2:]) & set(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, hvs(CLEAN_FILE), *self.NOT_LOADED],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"

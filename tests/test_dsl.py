@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypervec.checker import SampleConfig
 from hypervec.dsl import (
     CheckDirective,
     ModelFile,
@@ -150,6 +151,27 @@ class TestDiagnosticDetails:
         err = exc_info.value
         assert (err.line, err.column, err.message) == (1, column, message)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ('# a\x0cb\nmodel "m" { field R dim 1 product trivial }', 2),
+            ('# a\u2028b\nmodel "m" { field R dim 1 product trivial }', 2),
+            ('# a\x85b\nmodel "m" { field R dim 1 product trivial }', 2),
+            ('# a\r\nmodel "m" { field R dim 1 product trivial }\r\n', 2),
+            ('model "m" {\r field R dim 1 product trivial }', 1),
+        ],
+        ids=["form_feed", "line_separator", "next_line", "crlf", "carriage_return"],
+    )
+    def test_source_line_is_the_counted_line(self, text, line):
+        # the lexer counts lines at \n only, so the quoted line is split
+        # there too; a CRLF line is quoted without its \r
+        with pytest.raises(ModelFileError) as exc_info:
+            parse_model_file(text)
+        err = exc_info.value
+        assert err.line == line
+        assert err.source_line == text.split("\n")[line - 1].removesuffix("\r")
+        assert err.source_line[err.column - 1] == "R"  # the caret sits under it
+
     def test_seed_range(self):
         text = 'model "m" { field Q dim 1 product trivial }\ncheck hip seed=%d'
         parse_model_file(text % ((1 << 64) - 1))
@@ -226,6 +248,29 @@ class TestDiagnosticDetails:
         with pytest.raises(ModelFileError) as exc_info:
             parse_model_file('model "m" { field Q dim 1 product trivial } 17')
         assert "expected 'check'" in exc_info.value.message
+
+
+class TestParsedValues:
+    TEXT = (
+        'model "w" { field Q dim 2 product geometric(1/2) inner weighted_dot(2, 1/3) }\n'
+        "check hip samples=60 seed=7 height=3\n"
+    )
+
+    def test_two_parses_give_equal_values(self):
+        one, two = parse_model_file(self.TEXT), parse_model_file(self.TEXT)
+        assert one == two and one is not two
+        configs = [SampleConfig(**mf.checks[0].params) for mf in (one, two)]
+        for a, b in [(one.model, two.model), (one.inner, two.inner), tuple(configs)]:
+            assert a == b and hash(a) == hash(b)
+        # a file without check directives is hashable as a whole
+        bare = self.TEXT.splitlines()[0]
+        assert hash(parse_model_file(bare)) == hash(parse_model_file(bare))
+
+    def test_directives_do_not_share_params(self):
+        one, two = CheckDirective("hip"), CheckDirective("hip")
+        one.params["seed"] = 7
+        assert two.params == {} and CheckDirective("hip").params == {}
+        assert one != two
 
 
 class TestPrinter:

@@ -108,6 +108,14 @@ class TestPairing:
         with pytest.raises(ModelError):
             pairing(DOT, qv(1), qv(1, 2))
 
+    def test_weighted_dot_values(self):
+        w = WeightedDot((2, F(1, 3)))
+        assert w.weights == (F(2), F(1, 3)) and (w.nums, w.den) == ((6, 1), 3)
+        # only the weights are compared and shown
+        assert w == WeightedDot((F(2), F(1, 3))) and hash(w) == hash(WeightedDot((2, F(1, 3))))
+        assert repr(w) == "WeightedDot(weights=(Fraction(2, 1), Fraction(1, 3)))"
+        assert w != DOT and DOT == DotProduct() and hash(DOT) == hash(DotProduct())
+
     def test_describe(self):
         assert DOT.describe() == "dot"
         assert WeightedDot((F(2), F(1, 3))).describe() == "weighted_dot(2, 1/3)"
@@ -131,6 +139,8 @@ class TestSupPairing:
         r = sup_pairing(mk(Geometric(F(1, 2))), DOT, 1, qv(1, 0), qv(-1, 0))
         assert r.value == F(0)
         assert not r.attained and r.witness is None
+        # the README shows this value
+        assert repr(r) == "SupResult(value=Fraction(0, 1), attained=False, witness=None)"
 
     def test_growing_ray_negative_attained(self):
         r = sup_pairing(mk(Geometric(F(2))), DOT, 1, qv(1, 0), qv(-1, 0))

@@ -241,6 +241,43 @@ class TestSetAlgebra:
                 models._union(parts)
 
 
+class TestValueSemantics:
+    def test_constructor_checks(self):
+        with pytest.raises(ModelError, match="never empty"):
+            FiniteSet(())
+        with pytest.raises(ModelError, match="nonzero"):
+            GeometricRay(qv(0, 0), F(1, 2))
+        for ratio in (F(1), F(-1, 2)):
+            with pytest.raises(ModelError):
+                GeometricRay(qv(1, 0), ratio)
+            with pytest.raises(ModelError):
+                Geometric(ratio)
+        with pytest.raises(ModelError, match="ratio must be a Fraction"):
+            GeometricRay(qv(1, 0), 2)
+        # the family's ratio is coerced to a Fraction; a ray's is not
+        assert type(Geometric(2).ratio) is Fraction and Geometric(2) == Geometric(F(2))
+        for dim in (0, 65, "2"):
+            with pytest.raises(ModelError, match="dim must be"):
+                ModelSpec(FieldTag.Q, dim, Trivial())
+
+    def test_no_two_families_are_equal(self):
+        again = [Trivial(), ZeroAugmented(), Geometric(F(1, 2)), Geometric(F(2)), Sign()]
+        for i, a in enumerate(ALL_FAMILIES):
+            for j, b in enumerate(again):
+                assert (a == b) == (i == j) and (a != b) == (i != j)
+        assert [hash(a) for a in ALL_FAMILIES] == [hash(b) for b in again]
+        assert ModelSpec(FieldTag.Q, 2, Trivial()) != ModelSpec(FieldTag.Q, 2, Sign())
+        assert finite([qv(1, 0)]) != GeometricRay(qv(1, 0), F(2))
+
+    def test_model_spec_compares_its_three_fields(self):
+        a, b = mk(Geometric(F(1, 2))), mk(Geometric(F(1, 2)))
+        # the zero vector a spec keeps is left out of equality, hash and repr
+        object.__setattr__(b, "_zero", qv(9, 9))
+        assert a == b and hash(a) == hash(b)
+        assert a != mk(Geometric(F(1, 2)), dim=3)
+        assert repr(mk(Trivial())) == "ModelSpec(field=<FieldTag.Q: 'Q'>, dim=2, family=Trivial())"
+
+
 class TestModelSpec:
     def test_validation(self):
         with pytest.raises(ModelError):

@@ -1,0 +1,132 @@
+"""Alternating benchmark pairs: a parent checkout against a change checkout.
+
+Usage (any working directory):
+
+    python3 tools/abpairs.py PARENT CHANGE --workload rays [--pairs 5] [--seconds 36]
+
+PARENT and CHANGE are two checkouts of this repository. Each pair runs
+each tree's own `bench/run.py --workload W --seed S --seconds T --trace 0`
+once. Pair i (counted from 0) uses seed 42 + i; the parent runs first in
+the 1st, 3rd, 5th ... pair and second in the others, so a drift of the
+host's speed falls on both sides alike. The runs write only what
+bench/run.py writes, in each tree's own .bench_out/.
+
+For every end-to-end metric of the change's BENCHMARK.json it prints the
+median and the quartiles of each side and the number of pairs the change
+won (strictly better, in the metric's direction), then one JSON line with
+every run's values. The exit code is 1 when a run fails or prints
+`correct: false`, 2 on bad arguments, and 0 otherwise. Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+FIRST_SEED = 42
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3); statistics.quantiles' inclusive method."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[dict]:
+    """One row per metric from (parent, change) metric values per pair.
+
+    better maps each metric to "lower" or "higher". A row holds both
+    sides' quartiles, the change of the median relative to the parent's,
+    and how many pairs the change won.
+    """
+    rows = []
+    for name, direction in better.items():
+        parent = [p[name] for p, _ in pairs]
+        change = [c[name] for _, c in pairs]
+        sign = 1 if direction == "higher" else -1
+        p_q, c_q = quartiles(parent), quartiles(change)
+        rows.append(
+            {
+                "metric": name,
+                "better": direction,
+                "parent": p_q,
+                "change": c_q,
+                "delta": (c_q[1] - p_q[1]) / p_q[1] if p_q[1] else 0.0,
+                "won": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+                "pairs": len(pairs),
+            }
+        )
+    return rows
+
+
+def format_rows(rows: list[dict]) -> str:
+    def side(q):
+        return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+
+    head = ("metric", "parent median [q1, q3]", "change median [q1, q3]", "delta")
+    lines = [f"{head[0]:<14} {head[1]:<30} {head[2]:<30} {head[3]:>7}  won"]
+    for r in rows:
+        lines.append(
+            f"{r['metric']:<14} {side(r['parent']):<30} {side(r['change']):<30} "
+            f"{r['delta']:+7.1%}  {r['won']}/{r['pairs']}"
+        )
+    return "\n".join(lines)
+
+
+def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict | None:
+    """The metric values of one bench/run.py run, or None when it failed."""
+    argv = [sys.executable, os.path.join("bench", "run.py"), "--workload", workload]
+    argv += ["--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    try:
+        result = json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, ValueError):
+        result = {}
+    if proc.returncode != 0 or result.get("correct") is not True:
+        print(f"FAILED {tree} seed {seed}: exit {proc.returncode}\n{proc.stderr}", file=sys.stderr)
+        return None
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--seconds", type=float, default=36)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be positive")
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+    pairs = []
+    for i in range(args.pairs):
+        seed = FIRST_SEED + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        runs = {}
+        for side in order:
+            runs[side] = run_bench(getattr(args, side), args.workload, seed, args.seconds)
+            if runs[side] is None:
+                return 1
+        print(
+            f"pair {i + 1} seed {seed} ({order[0]} first): "
+            + ", ".join(f"{m} {runs['parent'][m]:.4g} -> {runs['change'][m]:.4g}" for m in better),
+            file=sys.stderr,
+        )
+        pairs.append((runs["parent"], runs["change"]))
+    print(f"{args.workload}: {args.pairs} pairs, --seconds {args.seconds:g}")
+    print(format_rows(summarize(pairs, better)))
+    print(json.dumps({"workload": args.workload, "pairs": [list(p) for p in pairs]}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
