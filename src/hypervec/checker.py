@@ -7,14 +7,14 @@ the same config produce byte-identical reports on any platform.
 sample_stream is the one function that draws. SUITES declares the
 stream each suite reads (config, field, dimension and its arity, the
 count of scalars and vectors per tuple), and run_pass reads one stream
-in one loop, evaluating on each tuple every suite that reads it. Within
-one run_suites memo (one `hypervec check` run) the first suite that
-needs a stream runs that pass for every planned suite of the stream
-(plan_run) and keeps the others' tallies until their check functions
-read them, so each stream is drawn once and no stream is kept. Nothing
-outlives the memo. A check function called on its own is a run of its
-one suite: it plans that run on a fresh memo and reads its stream the
-same way.
+in one loop, evaluating on each tuple every suite that reads it. One
+scheduler sequences every suite (_run_suite): within one run_suites
+memo (one `hypervec check` run) the first suite that needs a stream
+runs that pass for every planned suite of the stream (plan_run), then
+each of those suites' finish steps, and keeps their reports. So each
+stream is drawn once, no stream or tally is kept, and nothing outlives
+the memo. A check function called on its own is a run of its one suite
+(run_one): it runs that suite on a fresh memo the same way.
 
 Several items make one status by a single rule, roll_up: unbounded,
 else fail, else pass, and vacuous only when every item is vacuous. It
@@ -33,7 +33,6 @@ from __future__ import annotations
 import importlib
 import itertools
 import json
-from contextvars import ContextVar
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -50,48 +49,64 @@ _MIX2 = 0x94D049BB133111EB
 
 
 class Suite(NamedTuple):
-    """One suite: its check function, the reports it reads, its stream.
+    """One suite: its module, the reports it reads, its stream and steps.
 
-    check names the suite's function in module. It takes (model, cfg),
-    or (model, ip, cfg) in `inner`, followed by one report per suite in
-    reads, in that order (None for each when an inner suite is run
-    without an inner product).
+    laws, finish and rows name attributes of module. stream is the
+    (scalars, vectors) arity of the sample tuples the suite reads, None
+    when it reads reports only. laws names its law builder:
+    laws(model, ip, suites, *reads), with one report per suite in reads,
+    returns (rows, body) for the suites given, as run_pass takes them.
+    Suites naming one builder share its work on each tuple. A model or
+    report precondition is written in the builder only: it leaves out of
+    rows a suite whose precondition fails, and that suite samples
+    nothing.
 
-    stream is the (scalars, vectors) arity of the sample tuples the
-    suite reads, None when it reads reports only, and laws names the
-    module's law builder for it: laws(model, ip, suites, *reads) returns
-    (rows, body) for the suites given, as run_pass takes them. Suites
-    naming one builder share its work on each tuple. The builder leaves
-    out of rows a suite whose precondition fails; it samples nothing.
-    Every suite of one stream reads the same reports, and all or none
-    of them are in `inner`, so one pass can hand the same arguments to
-    every builder of the stream.
+    finish(cfg, items, *reads) turns the sampled items (None when the
+    builder left the suite out) into the report's items. A suite without
+    one reports its sampled items, or else every row of the table rows
+    as vacuous. Each `inner` suite names rows: without an inner product
+    it is vacuous.
+
+    Every suite of one stream reads the same reports, and all or none of
+    them are in `inner`, so one pass hands the same arguments to every
+    builder of the stream.
     """
 
     module: str
-    check: str
     reads: tuple[str, ...] = ()
     stream: tuple[int, int] | None = None
     laws: str | None = None
+    finish: str | None = None
+    rows: str | None = None
+
+    def step(self, field: str):
+        # looked up at call time: the suite modules sit above this one in
+        # the layering, and an attribute replaced by a tracer or a test
+        # must take effect
+        module = importlib.import_module(f"{__package__}.{self.module}")
+        return getattr(module, getattr(self, field))
 
 
 SUITES = {
-    "wvs_axioms": Suite("models", "check_wvs_axioms", (), (2, 2), "_wvs_laws"),
-    "lemma_basic": Suite(
-        "essential", "check_lemma_basic", ("strong_normal",), (2, 1), "_lemma_basic_laws"
+    "wvs_axioms": Suite("models", (), (2, 2), "_wvs_laws"),
+    "lemma_basic": Suite("essential", ("strong_normal",), (2, 1), "_lemma_basic_laws"),
+    "weak_normal": Suite("essential", (), (2, 2), "_normality_laws"),
+    "strong_normal": Suite("essential", (), (2, 2), "_normality_laws"),
+    "normal_equiv": Suite("essential", ("weak_normal", "strong_normal"), finish="_equivalence"),
+    "real_ip": Suite("inner", (), (1, 3), "_pairing_laws", rows="_REAL_IP_ITEMS"),
+    "hip": Suite("inner", (), (1, 3), "_pairing_laws", rows="_HIP_ITEMS"),
+    "lemma_34": Suite(
+        "inner", ("hip",), (1, 2), "_norm_laws", "_lemma_34_items", "_LEMMA_34_ITEMS"
     ),
-    "weak_normal": Suite("essential", "check_weak_normal", (), (2, 2), "_normality_laws"),
-    "strong_normal": Suite("essential", "check_strong_normal", (), (2, 2), "_normality_laws"),
-    "normal_equiv": Suite(
-        "essential", "check_normal_equivalence", ("weak_normal", "strong_normal")
-    ),
-    "real_ip": Suite("inner", "check_real_ip_axioms", (), (1, 3), "_pairing_laws"),
-    "hip": Suite("inner", "check_hip_axioms", (), (1, 3), "_pairing_laws"),
-    "lemma_34": Suite("inner", "check_lemma_34", ("hip",), (1, 2), "_norm_laws"),
     "theorem_normal": Suite(
-        "inner", "check_theorem_normal", ("hip", "strong_normal"), (1, 1), "_theorem_laws"
+        "inner",
+        ("hip", "strong_normal"),
+        (1, 1),
+        "_theorem_laws",
+        "_theorem_items",
+        "_THEOREM_ITEMS",
     ),
-    "norm_props": Suite("inner", "check_norm_props", ("hip",), (1, 2), "_norm_laws"),
+    "norm_props": Suite("inner", ("hip",), (1, 2), "_norm_laws", "_norm_items", "_NORM_ITEMS"),
 }
 
 # Suite vocabulary; also the identifiers accepted by `check` directives.
@@ -307,14 +322,12 @@ class Unbounded(Witness):
     """A supremum that grows without bound, instead of a value."""
 
 
-def vacuous_report(
-    model_desc: str, suite: str, items: list[tuple[str, str]], samples: int = 0
-) -> CheckReport:
+def vacuous_report(model_desc: str, suite: str, items: Iterable[tuple[str, str]]) -> CheckReport:
     """A report whose every item is vacuous (failed precondition)."""
     return CheckReport(
         model_desc,
         suite,
-        [CheckItem(i, anchor, "vacuous", samples, []) for i, anchor in items],
+        [CheckItem(i, anchor, "vacuous", 0, []) for i, anchor in items],
     )
 
 
@@ -413,12 +426,7 @@ def sample_stream(
         count += 1
 
 
-# The memo of the run_suites call in progress, None outside one. The
-# check functions keep their (model, cfg) signatures and reach the
-# tallies their run's passes keep for them through it.
-_RUN_MEMO: ContextVar[dict | None] = ContextVar("run_memo", default=None)
-
-# The memo entry holding the keys (see _key) of every report a run plans.
+# The memo entry holding the (suite, config) of every report a run plans.
 _PLAN = "planned reports"
 
 # run_pass draws this many tuples at a time. Drawing a chunk and then
@@ -426,18 +434,6 @@ _PLAN = "planned reports"
 # one evaluation (measured on the rays workload, CPython 3.11), and
 # memory stays bounded by the chunk whatever the sample count.
 _CHUNK = 64
-
-
-def _module(name: str):
-    # looked up at call time: these modules sit above this one in the
-    # layering, and a module attribute replaced by a tracer or a test
-    # must take effect
-    return importlib.import_module(f"{__package__}.{name}")
-
-
-def _key(name: str, model, ip, cfg: SampleConfig) -> tuple:
-    """The memo key of a suite's report; only an inner suite reads ip."""
-    return (name, model, ip if SUITES[name].module == "inner" else None, cfg)
 
 
 def suite_laws(suite: str, items, body: Callable[..., Iterable[tuple[str, object]]]):
@@ -491,56 +487,10 @@ def run_pass(
     }
 
 
-def stream_report(suite: str, model, ip, cfg: SampleConfig, *reads: CheckReport) -> CheckReport:
-    """The sampled report of suite, from the one pass over its stream.
-
-    reads are the reports the suite reads, and ip is None outside
-    `inner`. Outside a run, suite is planned alone on a fresh memo. The
-    pass evaluates suite and every planned suite of the same stream that
-    has no report yet, and keeps their tallies in the memo until their
-    own check functions read them.
-    """
-    memo = _RUN_MEMO.get()
-    if memo is None:
-        memo = {}
-        plan_run(memo, model, ip, [(suite, cfg)])
-    kept = ("tally",) + _key(suite, model, ip, cfg)
-    if kept in memo:
-        checks = memo.pop(kept)
-    else:
-        stream = SUITES[suite].stream
-        readers = [suite] + [
-            name
-            for name, spec in SUITES.items()
-            if name != suite
-            and spec.stream == stream
-            and _key(name, model, ip, cfg) in memo[_PLAN]
-            and _key(name, model, ip, cfg) not in memo
-        ]
-        builders: dict[tuple[str, str], list[str]] = {}
-        for name in readers:
-            builders.setdefault((SUITES[name].module, SUITES[name].laws), []).append(name)
-        law_sets = [
-            getattr(_module(module), laws)(model, ip, tuple(names), *reads)
-            for (module, laws), names in builders.items()
-        ]
-        tallies = run_pass(model, cfg, stream, law_sets)
-        checks = tallies.pop(suite)
-        for name, other in tallies.items():
-            memo[("tally",) + _key(name, model, ip, cfg)] = other
-    return CheckReport(model.describe(), suite, [check.finish() for check in checks])
-
-
-def _reads(name: str, ip) -> tuple[str, ...]:
-    """The suites whose reports name reads: none for an inner suite
-    without an inner product, which is vacuous."""
-    spec = SUITES[name]
-    return () if spec.module == "inner" and ip is None else spec.reads
-
-
 def plan_run(memo: dict, model, ip, requests: Iterable[tuple[str, SampleConfig]]) -> None:
     """Record in memo every report a run will compute: each requested
     (suite, config) and, through SUITES' reads, every report it reads.
+    An inner suite without an inner product reads nothing.
 
     A pass over a stream evaluates the planned suites that read it and
     nothing else, so a run that plans before its first suite runs reads
@@ -552,10 +502,10 @@ def plan_run(memo: dict, model, ip, requests: Iterable[tuple[str, SampleConfig]]
         name, cfg = todo.pop()
         if name not in SUITES:
             raise ValueError(f"unknown suite: {name!r}")
-        key = _key(name, model, ip, cfg)
-        if key not in planned:
-            planned.add(key)
-            todo += [(dep, cfg) for dep in _reads(name, ip)]
+        if (name, cfg) not in planned:
+            planned.add((name, cfg))
+            if ip is not None or SUITES[name].module != "inner":
+                todo += [(dep, cfg) for dep in SUITES[name].reads]
 
 
 def run_suites(
@@ -563,13 +513,13 @@ def run_suites(
 ) -> list[CheckReport]:
     """Run the named suites in order and return one report per suite.
 
-    Each suite's dependencies (see SUITES) run first and are handed to
-    it. Every report is kept in memo, so one report per suite, model,
-    inner product and config is computed however many suites read it;
-    pass the same memo to calls that belong to one run. The suites of
-    the call are added to the memo's plan (plan_run); plan the whole
-    run first, as the CLI does, and the first pass over each stream
-    evaluates every suite of the run that reads it.
+    A memo belongs to one model and one inner product. It keeps every
+    report of a run under its (suite, config), so one report per suite
+    and config is computed however many suites read it; pass the same
+    memo to the calls that belong to one run. The suites of the call are
+    added to the memo's plan (plan_run); plan the whole run first, as
+    the CLI does, and the one pass over each stream evaluates every
+    suite of the run that reads it.
 
     Suites whose precondition fails (complex field for real_ip, missing
     or failed hyperinner axioms for the derived suites) are reported
@@ -577,23 +527,57 @@ def run_suites(
     """
     memo = {} if memo is None else memo
     plan_run(memo, model, ip, [(name, cfg) for name in suites])
-    token = _RUN_MEMO.set(memo)
-    try:
-        return [_run_suite(name, model, ip, cfg, memo) for name in suites]
-    finally:
-        _RUN_MEMO.reset(token)
+    return [_run_suite(name, model, ip, cfg, memo) for name in suites]
+
+
+def run_one(suite: str, model, ip, cfg: SampleConfig, *reads: CheckReport) -> CheckReport:
+    """The report of suite run alone on a fresh memo, handed the reports
+    it reads, one per suite in its reads (see Suite)."""
+    memo = {(dep, cfg): report for dep, report in zip(SUITES[suite].reads, reads)}
+    return run_suites(model, ip, cfg, [suite], memo)[0]
 
 
 def _run_suite(name: str, model, ip, cfg: SampleConfig, memo: dict) -> CheckReport:
-    key = _key(name, model, ip, cfg)
-    if key not in memo:
-        spec = SUITES[name]
-        check = getattr(_module(spec.module), spec.check)
-        args = (model, ip, cfg) if spec.module == "inner" else (model, cfg)
-        reads = _reads(name, ip)
-        deps = [_run_suite(dep, model, ip, cfg, memo) if dep in reads else None for dep in spec.reads]
-        memo[key] = check(*args, *deps)
-    return memo[key]
+    """The report of name at cfg, from memo or else computed into it.
+
+    The reports name reads come first. Then one pass evaluates every
+    planned suite of name's (config, stream) that has no report yet, and
+    each of them is finished and kept, so no tally outlives the pass.
+    Without an inner product every row of an inner suite is vacuous, and
+    nothing is read or drawn for it.
+    """
+    if (name, cfg) in memo:
+        return memo[name, cfg]
+    spec, desc = SUITES[name], model.describe()
+    if spec.module == "inner" and ip is None:
+        memo[name, cfg] = vacuous_report(desc, name, spec.step("rows"))
+        return memo[name, cfg]
+    reads = [_run_suite(dep, model, ip, cfg, memo) for dep in spec.reads]
+    group = {
+        suite: other
+        for suite, other in SUITES.items()
+        if other.stream == spec.stream and (suite, cfg) in memo[_PLAN] and (suite, cfg) not in memo
+    }
+    builders: dict[Callable, list[str]] = {}
+    for suite, other in group.items():
+        if other.laws:
+            builders.setdefault(other.step("laws"), []).append(suite)
+    law_sets = [
+        law_set
+        for laws, suites in builders.items()
+        if (law_set := laws(model, ip, tuple(suites), *reads))[0]
+    ]
+    tallies = run_pass(model, cfg, spec.stream, law_sets) if law_sets else {}
+    for suite, other in group.items():
+        items = [check.finish() for check in tallies[suite]] if suite in tallies else None
+        if other.finish:
+            items = other.step("finish")(cfg, items, *reads)
+        memo[suite, cfg] = (
+            vacuous_report(desc, suite, other.step("rows"))
+            if items is None
+            else CheckReport(desc, suite, items)
+        )
+    return memo[name, cfg]
 
 
 def report_document(model_desc: str, seed: int, reports: list[CheckReport]) -> dict:

@@ -37,7 +37,9 @@ from .vectors import parse_vector
 
 
 def _load_model_file(path: str) -> ModelFile:
-    with open(path, encoding="utf-8") as fh:
+    # newline="": the lexer counts lines at \n only, so a lone \r must
+    # reach it as it is for its positions to be the file's
+    with open(path, encoding="utf-8", newline="") as fh:
         return parse_model_file(fh.read())
 
 

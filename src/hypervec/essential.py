@@ -28,10 +28,11 @@ Both read the same sums, so one law builder decides the readings a run
 plans on each tuple from one set of five essential sets; the weak
 reading misses exactly when every sum is outside the target. Their
 (2, 2) stream is the one wvs_axioms reads, and one pass evaluates all
-three (checker.stream_report).
+three (checker.run_suites).
 check_normal_equivalence compares the two reports and flags models
-where the readings disagree; its two verdict items are summary items
-(checker.summary_item) of the reports they name.
+where the readings disagree: it samples nothing, and its finish step
+(_equivalence) gives two summary items (checker.summary_item) of the
+reports they name and the agreement item.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .checker import (
     CheckReport,
     SampleConfig,
     Witness,
-    stream_report,
+    run_one,
     suite_laws,
     summary_item,
 )
@@ -122,7 +123,7 @@ def check_lemma_basic(
 
     strong is the strong_normal report for the same model and config.
     """
-    return stream_report("lemma_basic", model, None, cfg, strong)
+    return run_one("lemma_basic", model, None, cfg, strong)
 
 
 def _lemma_basic_laws(model: ModelSpec, ip, suites: tuple[str, ...], strong: CheckReport):
@@ -258,7 +259,7 @@ def _normality_laws(model: ModelSpec, ip, suites: tuple[str, ...]):
 
 def check_weak_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> CheckReport:
     """Sumset reading: essential sumsets must meet the target essential set."""
-    return stream_report("weak_normal", model, None, cfg or SampleConfig())
+    return run_one("weak_normal", model, None, cfg or SampleConfig())
 
 
 def check_strong_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> CheckReport:
@@ -267,7 +268,7 @@ def check_strong_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> Ch
     Every sum of essential choices must be an essential point of the
     target, and the target must hold nothing beyond those sums.
     """
-    return stream_report("strong_normal", model, None, cfg or SampleConfig())
+    return run_one("strong_normal", model, None, cfg or SampleConfig())
 
 
 def check_normal_equivalence(
@@ -280,6 +281,11 @@ def check_normal_equivalence(
     one reading passes and the other does not; the witnesses of the
     failing reading are carried along.
     """
+    return run_one("normal_equiv", model, None, cfg, weak, strong)
+
+
+def _equivalence(cfg: SampleConfig, items, weak: CheckReport, strong: CheckReport):
+    """The finish step of normal_equiv, which samples nothing."""
     weak_ok = weak.all_passed
     strong_ok = strong.all_passed
     agree = weak_ok == strong_ok
@@ -290,18 +296,14 @@ def check_normal_equivalence(
             "reading give different verdicts on the same samples",
         )
     ]
-    return CheckReport(
-        model.describe(),
-        "normal_equiv",
-        [
-            summary_item("weak_normality", "sumset reading verdict", weak.items),
-            summary_item("strong_normality", "all-choices reading verdict", strong.items),
-            CheckItem(
-                "readings_agree",
-                "the sumset reading and the all-choices reading give the same verdict",
-                "pass" if agree else "fail",
-                max(it.samples for it in weak.items + strong.items),
-                witnesses,
-            ),
-        ],
-    )
+    return [
+        summary_item("weak_normality", "sumset reading verdict", weak.items),
+        summary_item("strong_normality", "all-choices reading verdict", strong.items),
+        CheckItem(
+            "readings_agree",
+            "the sumset reading and the all-choices reading give the same verdict",
+            "pass" if agree else "fail",
+            max(it.samples for it in weak.items + strong.items),
+            witnesses,
+        ),
+    ]

@@ -18,9 +18,9 @@ same (1, 3) sample tuples, and one law builder (_pairing_laws) decides
 the readings a run plans on each tuple, so (x,x), (x+y,z), (x,z)+(y,z),
 (x,y), (y,x), a*(x,y), E[a o x] and each (e,y) over it are computed
 once. lemma_34 and norm_props share (x,y), nsq(x), abs2(a)*nsq(x) and
-a o x on their (1, 2) tuples the same way (_norm_laws). A check
-function called on its own is a run of its one suite and runs the same
-builder (checker.stream_report).
+a o x on their (1, 2) tuples the same way (_norm_laws). The builders
+hold the suites' preconditions, and the finish steps (*_items) their
+summary items and vacuous rules (see checker.Suite).
 """
 
 from __future__ import annotations
@@ -37,10 +37,9 @@ from .checker import (
     Unbounded,
     Value,
     Witness,
-    stream_report,
+    run_one,
     suite_laws,
     summary_item,
-    vacuous_report,
 )
 from .essential import essential_points
 from .models import (
@@ -275,20 +274,14 @@ def check_real_ip_axioms(
     model: ModelSpec, ip: InnerProductSpec | None, cfg: SampleConfig | None = None
 ) -> CheckReport:
     """The real sup-based inner product axioms, one verdict per item."""
-    cfg = cfg or SampleConfig()
-    if ip is None or model.field is not FieldTag.Q:
-        return vacuous_report(model.describe(), "real_ip", list(_REAL_IP_ITEMS))
-    return stream_report("real_ip", model, ip, cfg)
+    return run_one("real_ip", model, ip, cfg or SampleConfig())
 
 
 def check_hip_axioms(
     model: ModelSpec, ip: InnerProductSpec | None, cfg: SampleConfig | None = None
 ) -> CheckReport:
     """The six hyperinner product axioms (real or Gaussian field)."""
-    cfg = cfg or SampleConfig()
-    if ip is None:
-        return vacuous_report(model.describe(), "hip", list(_HIP_ITEMS))
-    return stream_report("hip", model, ip, cfg)
+    return run_one("hip", model, ip, cfg or SampleConfig())
 
 
 def _pairing_laws(model: ModelSpec, ip: InnerProductSpec, suites: tuple[str, ...]):
@@ -390,15 +383,17 @@ def check_lemma_34(
 ) -> CheckReport:
     """Derived pairing identities; vacuous unless the hyperinner axioms
     held (hip is their report for the same model and config)."""
-    if ip is None:
-        return vacuous_report(model.describe(), "lemma_34", list(_LEMMA_34_ITEMS))
-    if not hip.all_passed:
-        # every law below is decided on every tuple and none can be
-        # unbounded, so sampling would only count cfg.samples tuples
-        return vacuous_report(
-            model.describe(), "lemma_34", list(_LEMMA_34_ITEMS), cfg.samples
-        )
-    return stream_report("lemma_34", model, ip, cfg, hip)
+    return run_one("lemma_34", model, ip, cfg, hip)
+
+
+def _lemma_34_items(cfg: SampleConfig, items, hip: CheckReport):
+    """The finish step of lemma_34. When _norm_laws left it out (hip
+    failed) every item is vacuous over cfg.samples tuples: its laws are
+    decided on every tuple and never unbounded, so sampling would only
+    count them."""
+    if items is None:
+        return [CheckItem(*row, "vacuous", cfg.samples, []) for row in _LEMMA_34_ITEMS]
+    return items
 
 
 def check_theorem_normal(
@@ -417,14 +412,17 @@ def check_theorem_normal(
     the all-choices normality reading must pass (strong_normality is
     the summary item of strong); a violation is surfaced loudly.
     """
-    if ip is None:
-        return vacuous_report(model.describe(), "theorem_normal", list(_THEOREM_ITEMS))
-    hip_samples = max((it.samples for it in hip.items), default=0)
-    if hip.all_passed:
-        items = stream_report("theorem_normal", model, ip, cfg, hip, strong).items
-        items.append(summary_item(*_THEOREM_ITEMS[1], strong.items))
-    else:
+    return run_one("theorem_normal", model, ip, cfg, hip, strong)
+
+
+def _theorem_items(cfg: SampleConfig, items, hip: CheckReport, strong: CheckReport):
+    """The finish step of theorem_normal: the strong_normality summary
+    and the implication item; both conclusions are vacuous when
+    _theorem_laws left it out (hip failed)."""
+    if items is None:
         items = [CheckItem(*row, "vacuous", 0, []) for row in _THEOREM_ITEMS[:2]]
+    else:
+        items.append(summary_item(*_THEOREM_ITEMS[1], strong.items))
     contradiction = any(it.status == "fail" for it in items)
     witnesses = [
         Witness(
@@ -434,8 +432,9 @@ def check_theorem_normal(
         )
     ] if contradiction else []
     status = "fail" if contradiction else "pass"
+    hip_samples = max((it.samples for it in hip.items), default=0)
     items.append(CheckItem(*_THEOREM_ITEMS[2], status, hip_samples, witnesses))
-    return CheckReport(model.describe(), "theorem_normal", items)
+    return items
 
 
 def _theorem_laws(
@@ -446,7 +445,9 @@ def _theorem_laws(
     strong: CheckReport,
 ):
     """The law set of theorem_normal on one (1, 1) tuple (see
-    checker.Suite): its one sampled item."""
+    checker.Suite): its one sampled item, left out unless hip passed."""
+    if not hip.all_passed:
+        return {}, None
 
     def laws(a, x):
         ess = essential_points(model, a, x)
@@ -473,16 +474,19 @@ def check_norm_props(
     norm_axioms is the summary item of definite, triangle and
     sup_scaling.
     """
-    if ip is None:
-        return vacuous_report(model.describe(), "norm_props", list(_NORM_ITEMS))
-    items = stream_report("norm_props", model, ip, cfg, hip).items
+    return run_one("norm_props", model, ip, cfg, hip)
+
+
+def _norm_items(cfg: SampleConfig, items, hip: CheckReport):
+    """The finish step of norm_props: the vacuous rule under a failed
+    hip and the norm_axioms summary item."""
     if not hip.all_passed:
         for item in items:
             if item.status != "unbounded":
                 item.status, item.witnesses = "vacuous", []
     deps = [it for it in items if it.id in ("definite", "triangle", "sup_scaling")]
     items.append(summary_item(*_NORM_ITEMS[-1], deps))
-    return CheckReport(model.describe(), "norm_props", items)
+    return items
 
 
 def _norm_laws(

@@ -18,7 +18,7 @@ Four product families are built in:
 
 check_wvs_axioms samples the five weak-space axioms on (2, 2) tuples,
 the stream the two normality readings of `essential` read too, so a run
-that plans them evaluates all three in one pass (checker.stream_report).
+that plans them evaluates all three in one pass (checker.run_suites).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .checker import CheckReport, SampleConfig, Value, Witness, stream_report, suite_laws
+from .checker import CheckReport, SampleConfig, Value, Witness, run_one, suite_laws
 from .scalars import FieldTag, Scalar, is_zero, make_scalar
 from .vectors import Vector, sorted_vectors, zero_vector
 
@@ -417,7 +417,7 @@ def _classical_sum_meets(whole: HyperSet, s1: HyperSet, u: Vector, s2: HyperSet,
 
 def check_wvs_axioms(model: ModelSpec, cfg: SampleConfig | None = None) -> CheckReport:
     """Sample-check the five weak-space axioms with exact verdicts."""
-    return stream_report("wvs_axioms", model, None, cfg or SampleConfig())
+    return run_one("wvs_axioms", model, None, cfg or SampleConfig())
 
 
 def _wvs_laws(model: ModelSpec, ip, suites: tuple[str, ...]):

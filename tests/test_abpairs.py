@@ -3,6 +3,8 @@
 import importlib.util
 import os
 
+import pytest
+
 _PATH = os.path.join(os.path.dirname(__file__), "..", "tools", "abpairs.py")
 _SPEC = importlib.util.spec_from_file_location("abpairs", _PATH)
 abpairs = importlib.util.module_from_spec(_SPEC)
@@ -31,3 +33,23 @@ def test_summary_counts_wins_in_each_metrics_direction():
     assert higher["won"] == 1
     table = abpairs.format_rows([wall, ok])
     assert "wall_s" in table.splitlines()[1] and table.splitlines()[1].endswith("3/5")
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, expected",
+    [
+        # the change's median is 30% slower: more than the bound of 25%
+        ([1.0, 1.0, 1.1, 0.9, 1.0], [1.3, 1.3, 1.2, 1.4, 1.3], "lower", "worse"),
+        # a rate (higher is better) whose median falls by 31%
+        ([1.3, 1.3, 1.2, 1.4, 1.3], [0.9, 0.9, 1.0, 0.8, 0.9], "higher", "worse"),
+        # the parent's quartiles lie 40% of its median apart, and one
+        # change run is slower than a parent run
+        ([1.0, 0.8, 1.2, 0.6, 1.4], [1.1, 0.9, 1.0, 1.0, 1.0], "lower", "unresolved"),
+        # as wide a spread, but every change run beats every parent run
+        ([1.0, 0.8, 1.2, 0.6, 1.4], [0.5, 0.5, 0.4, 0.5, 0.5], "lower", "ok"),
+        # 10% slower with a narrow parent spread: within the bound
+        ([1.0, 1.0, 1.01, 0.99, 1.0], [1.1, 1.1, 1.1, 1.1, 1.1], "lower", "ok"),
+    ],
+)
+def test_verdict_reads_each_metric_against_its_bound(parent, change, better, expected):
+    assert abpairs.verdict(parent, change, better, 0.25) == expected

@@ -1,7 +1,6 @@
 """Deterministic sampling, report assembly, and JSON rendering."""
 
 import contextlib
-import importlib
 import io
 import itertools
 import json
@@ -37,7 +36,7 @@ from hypervec.checker import (
     summary_item,
     vacuous_report,
 )
-from hypervec import essential, inner
+from hypervec import checker, essential, inner
 from hypervec.cli import main
 from hypervec.essential import check_lemma_basic, check_strong_normal, essential_points
 from hypervec.inner import DotProduct, check_hip_axioms
@@ -525,9 +524,16 @@ class TestSuitesWithoutInnerProduct:
         ],
     )
     def test_reads_no_report(self, suite, rows, monkeypatch):
+        # no pass runs: neither the suite's stream nor the (1, 3) and
+        # (2, 2) streams of the reports it would read are drawn
         calls = []
-        for module, name in ((essential, "check_strong_normal"), (inner, "check_hip_axioms")):
-            monkeypatch.setattr(module, name, lambda *args, _n=name: calls.append(_n))
+        run_pass = checker.run_pass
+
+        def counted(model, cfg, arity, law_sets):
+            calls.append((cfg, arity))
+            return run_pass(model, cfg, arity, law_sets)
+
+        monkeypatch.setattr(checker, "run_pass", counted)
         m = ModelSpec(FieldTag.Q, 2, ZeroAugmented())
         (report,) = run_suites(m, None, SampleConfig(samples=30), [suite])
         assert calls == []
@@ -658,11 +664,20 @@ def test_suites_of_one_stream_take_the_same_arguments():
     # one pass hands the same reports and inner product to every builder
     # of a stream
     by_stream = {}
-    for spec in SUITES.values():
-        if spec.stream is not None:
-            by_stream.setdefault(spec.stream, set()).add((spec.reads, spec.module == "inner"))
-            assert callable(getattr(importlib.import_module(f"hypervec.{spec.module}"), spec.laws))
-    assert sorted(by_stream) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+    for name, spec in SUITES.items():
+        # every step resolves in the suite's module
+        for step in ("laws", "finish"):
+            assert getattr(spec, step) is None or callable(spec.step(step)), (name, step)
+        if spec.rows is not None:
+            assert all(len(row) == 2 for row in spec.step("rows")), name
+        # the scheduler reports an inner suite without an inner product
+        # vacuous from its rows, and a suite that samples nothing from
+        # its finish step
+        assert (spec.rows is not None) == (spec.module == "inner"), name
+        assert (spec.stream is None) == (spec.laws is None), name
+        assert spec.stream is not None or spec.finish is not None, name
+        by_stream.setdefault(spec.stream, set()).add((spec.reads, spec.module == "inner"))
+    assert sorted(by_stream, key=str) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), None]
     assert all(len(kinds) == 1 for kinds in by_stream.values())
 
 

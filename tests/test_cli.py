@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hypervec import checker, essential, inner
+from hypervec import checker, inner
 from hypervec.checker import SUITE_NAMES, SampleConfig, render_json, report_document
 from hypervec.cli import main
 from hypervec.dsl import parse_model_file
@@ -103,6 +103,18 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert "line 3, column 3" in err
 
+    def test_lone_carriage_return_gives_the_parsers_position(self, tmp_path, capsys):
+        # the lexer breaks lines at \n only; the CLI reads the file as it is
+        text = 'model "m" {\r field R dim 1 product trivial }\n'
+        path = tmp_path / "cr.hvs"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ValueError) as parsed:
+            parse_model_file(text)
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {parsed.value}\n"
+        assert err.startswith("error: line 1, column 20: unknown field 'R'")
+
     def test_huge_literal_exits_two_without_traceback(self):
         path = CORPUS / "invalid" / "i16_huge_literal.hvs"
         proc = subprocess.run(
@@ -157,26 +169,39 @@ def all_suites_file(family, samples=None):
     return f'model "m" {{ field Q dim 2 product {family} inner dot }}\n' + directives
 
 
+def count_passes(monkeypatch):
+    """Count each checker.run_pass call by its config, its arity and the
+    suites it evaluates."""
+    passes = Counter()
+    run_pass = checker.run_pass
+
+    def counted(model, cfg, arity, law_sets):
+        passes[cfg, arity, tuple(sorted(suite for rows, _ in law_sets for suite in rows))] += 1
+        return run_pass(model, cfg, arity, law_sets)
+
+    monkeypatch.setattr(checker, "run_pass", counted)
+    return passes
+
+
 class TestCheckSharesReports:
     def test_each_report_computed_once_per_run(self, hvs, monkeypatch, capsys):
-        calls = Counter()
-        for module, name in (
-            (inner, "check_hip_axioms"),
-            (essential, "check_strong_normal"),
-            (essential, "check_weak_normal"),
-        ):
-            def counted(*args, _check=getattr(module, name), _name=name):
-                calls[_name] += 1
-                return _check(*args)
-
-            monkeypatch.setattr(module, name, counted)
+        # every suite of a stream is evaluated in its one pass, and
+        # normal_equiv, which samples nothing, runs none
+        passes = count_passes(monkeypatch)
         path = hvs(all_suites_file("trivial", samples=30))
-        once = {"check_hip_axioms": 1, "check_strong_normal": 1, "check_weak_normal": 1}
+        cfg = SampleConfig(samples=30)
+        once = {
+            (cfg, (2, 2), ("strong_normal", "weak_normal", "wvs_axioms")): 1,
+            (cfg, (2, 1), ("lemma_basic",)): 1,
+            (cfg, (1, 3), ("hip", "real_ip")): 1,
+            (cfg, (1, 2), ("lemma_34", "norm_props")): 1,
+            (cfg, (1, 1), ("theorem_normal",)): 1,
+        }
         assert main(["check", path]) == 0
-        assert calls == once
+        assert passes == once
         # the reports are not kept from one run to the next
         assert main(["check", path]) == 0
-        assert calls == {name: 2 for name in once}
+        assert passes == {key: 2 for key in once}
         capsys.readouterr()
 
     def test_reports_are_shared_only_at_equal_config(self, hvs, tmp_path, capsys):
@@ -194,23 +219,19 @@ class TestCheckSharesReports:
         self, hvs, tmp_path, monkeypatch, capsys
     ):
         text = ('model "za" { field Q dim 2 product zero_augmented inner dot }\n'
-                "check hip samples=50 depth=3\ncheck hip samples=50 depth=4\n")
+                "check hip samples=50 depth=3\ncheck real_ip samples=50 depth=5\n"
+                "check hip samples=50 depth=4\n")
         mf = parse_model_file(text)
         # the report each directive gets when computed on its own
         cfg = SampleConfig(samples=50)
-        alone = [inner.check_hip_axioms(mf.model, mf.inner, cfg)] * 2
-        calls = []
-        check = inner.check_hip_axioms
-
-        def counted(*args):
-            calls.append(args[2])
-            return check(*args)
-
-        monkeypatch.setattr(inner, "check_hip_axioms", counted)
+        hip = inner.check_hip_axioms(mf.model, mf.inner, cfg)
+        alone = [hip, inner.check_real_ip_axioms(mf.model, mf.inner, cfg), hip]
+        passes = count_passes(monkeypatch)
         out = tmp_path / "r.json"
-        assert main(["check", hvs(text), "--json", str(out)]) == 0
+        assert main(["check", hvs(text), "--json", str(out)]) == 1  # real_ip fails here
         capsys.readouterr()
-        assert calls == [cfg]
+        # one report per suite, both from one pass over their stream
+        assert passes == {(cfg, (1, 3), ("hip", "real_ip")): 1}
         assert out.read_text() == render_json(report_document(mf.model.describe(), 42, alone))
 
     @pytest.mark.parametrize(

@@ -13,8 +13,9 @@ bench/run.py writes, in each tree's own .bench_out/.
 
 For every end-to-end metric of the change's BENCHMARK.json it prints the
 median and the quartiles of each side and the number of pairs the change
-won (strictly better, in the metric's direction), then one JSON line with
-every run's values. The exit code is 1 when a run fails or prints
+won (strictly better, in the metric's direction), then the metric's
+no-regression verdict against its bound (see verdict), then one JSON
+line with every run's values and the verdicts. The exit code is 1 when a run fails or prints
 `correct: false`, 2 on bad arguments, and 0 otherwise. Stdlib only.
 """
 
@@ -65,6 +66,25 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[di
     return rows
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The no-regression reading of one metric over the pairs' runs.
+
+    bound is relative to the parent's median. "worse" when the change's
+    median is worse than the parent's by more than bound; else
+    "unresolved" when the spread between the parent's quartiles,
+    relative to its median, exceeds bound and not every change run
+    beats every parent run; else "ok".
+    """
+    sign = 1 if better == "higher" else -1
+    p_q1, p_median, p_q3 = quartiles(parent)
+    if sign * (quartiles(change)[1] - p_median) / abs(p_median) < -bound:
+        return "worse"
+    beats_all = all(sign * (c - p) > 0 for p in parent for c in change)
+    if (p_q3 - p_q1) / abs(p_median) > bound and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def format_rows(rows: list[dict]) -> str:
     def side(q):
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
@@ -105,7 +125,8 @@ def main(argv: list[str]) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be positive")
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
 
     pairs = []
     for i in range(args.pairs):
@@ -124,7 +145,14 @@ def main(argv: list[str]) -> int:
         pairs.append((runs["parent"], runs["change"]))
     print(f"{args.workload}: {args.pairs} pairs, --seconds {args.seconds:g}")
     print(format_rows(summarize(pairs, better)))
-    print(json.dumps({"workload": args.workload, "pairs": [list(p) for p in pairs]}))
+    verdicts = {}
+    for m in metrics:
+        name = m["name"]
+        parent, change = [p[name] for p, _ in pairs], [c[name] for _, c in pairs]
+        verdicts[name] = verdict(parent, change, m["better"], m["bound"])
+    print("verdict: " + ", ".join(f"{name} {v}" for name, v in verdicts.items()))
+    doc = {"workload": args.workload, "pairs": [list(p) for p in pairs], "verdicts": verdicts}
+    print(json.dumps(doc))
     return 0
 
 
