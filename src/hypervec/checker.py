@@ -6,8 +6,9 @@ the same config produce byte-identical reports on any platform.
 
 sample_stream is the one function that draws. SUITES declares the
 stream each suite reads (config, field, dimension and its arity, the
-count of scalars and vectors per tuple), and run_pass reads one stream
-in one loop, evaluating on each tuple every suite that reads it. One
+count of scalars and vectors per tuple) and that stream's one law
+builder, and run_pass reads one stream in one loop, evaluating on each
+tuple every planned suite that reads it through that builder. One
 scheduler sequences every suite (_run_suite): within one run_suites
 memo (one `hypervec check` run) the first suite that needs a stream
 runs that pass for every planned suite of the stream (plan_run), then
@@ -53,10 +54,10 @@ class Suite(NamedTuple):
 
     laws, finish and rows name attributes of module. stream is the
     (scalars, vectors) arity of the sample tuples the suite reads, None
-    when it reads reports only. laws names its law builder:
+    when it reads reports only. laws names its stream's one law builder:
     laws(model, ip, suites, *reads), with one report per suite in reads,
-    returns (rows, body) for the suites given, as run_pass takes them.
-    Suites naming one builder share its work on each tuple. A model or
+    returns (rows, body) for the suites given, as run_pass takes them,
+    so the suites of a stream share its work on each tuple. A model or
     report precondition is written in the builder only: it leaves out of
     rows a suite whose precondition fails, and that suite samples
     nothing.
@@ -67,9 +68,9 @@ class Suite(NamedTuple):
     as vacuous. Each `inner` suite names rows: without an inner product
     it is vacuous.
 
-    Every suite of one stream reads the same reports, and all or none of
-    them are in `inner`, so one pass hands the same arguments to every
-    builder of the stream.
+    Every suite of one stream names the same module and builder and reads
+    the same reports, so one pass calls one builder with one set of
+    arguments.
     """
 
     module: str
@@ -88,10 +89,10 @@ class Suite(NamedTuple):
 
 
 SUITES = {
-    "wvs_axioms": Suite("models", (), (2, 2), "_wvs_laws"),
+    "wvs_axioms": Suite("models", (), (2, 2), "_sum_laws"),
     "lemma_basic": Suite("essential", ("strong_normal",), (2, 1), "_lemma_basic_laws"),
-    "weak_normal": Suite("essential", (), (2, 2), "_normality_laws"),
-    "strong_normal": Suite("essential", (), (2, 2), "_normality_laws"),
+    "weak_normal": Suite("models", (), (2, 2), "_sum_laws"),
+    "strong_normal": Suite("models", (), (2, 2), "_sum_laws"),
     "normal_equiv": Suite("essential", ("weak_normal", "strong_normal"), finish="_equivalence"),
     "real_ip": Suite("inner", (), (1, 3), "_pairing_laws", rows="_REAL_IP_ITEMS"),
     "hip": Suite("inner", (), (1, 3), "_pairing_laws", rows="_HIP_ITEMS"),
@@ -265,13 +266,18 @@ class CheckReport(Value):
         return {"name": self.suite, "items": [it.to_json() for it in self.items]}
 
 
+class Unbounded(Witness):
+    """A supremum that grows without bound, instead of a value."""
+
+
 class ItemCheck:
     """Accumulates per-tuple verdicts for one report item.
 
-    Call sample(violations) once per evaluated tuple (empty list means
-    the tuple passed); mark_unbounded when the computation itself blows
-    up instead of yielding a value. finish() resolves the status with
-    precedence unbounded > vacuous (no samples) > fail > pass.
+    Call sample(outcome) once per evaluated tuple, with what a law
+    yields: a Witness, an Unbounded or a list of them (an empty list
+    passes; run_pass counts a passing tuple in samples itself). finish()
+    resolves the status with precedence unbounded > vacuous (no samples)
+    > fail > pass.
 
     Each kind, ordinary and unbounded, keeps its first MAX_WITNESSES
     distinct witnesses, deduplicated on their text in one set: no suite
@@ -288,38 +294,28 @@ class ItemCheck:
         self._unbounded: list[Witness] = []
         self._seen: set[tuple] = set()
 
-    def _add(self, into: list[Witness], witness: Witness):
-        if len(into) == MAX_WITNESSES:
-            return
-        # distinct sample tuples can reproduce the same violation; keep one
-        key = (tuple(sorted(witness.bindings.items())), witness.relation)
-        if key not in self._seen:
-            self._seen.add(key)
-            into.append(witness)
-
-    def sample(self, violations: list[Witness]):
+    def sample(self, outcome: Witness | list[Witness]):
         self.samples += 1
-        for witness in violations:
-            self._add(self._witnesses, witness)
-
-    def mark_unbounded(self, witness: Witness):
-        self.samples += 1
-        self._add(self._unbounded, witness)
+        for witness in (outcome,) if isinstance(outcome, Witness) else outcome:
+            into = self._unbounded if witness.__class__ is Unbounded else self._witnesses
+            if len(into) == MAX_WITNESSES:
+                continue
+            # distinct sample tuples can reproduce the same violation; keep one
+            key = (tuple(sorted(witness.bindings.items())), witness.relation)
+            if key not in self._seen:
+                self._seen.add(key)
+                into.append(witness)
 
     def finish(self) -> CheckItem:
-        if self._unbounded:
-            status, witnesses = "unbounded", self._unbounded
-        elif self.samples == 0:
-            status, witnesses = "vacuous", []
-        elif self._witnesses:
-            status, witnesses = "fail", self._witnesses
-        else:
-            status, witnesses = "pass", []
-        return CheckItem(self.id, self.anchor, status, self.samples, list(witnesses))
-
-
-class Unbounded(Witness):
-    """A supremum that grows without bound, instead of a value."""
+        # a tuple that failed was sampled, so no samples means no witnesses
+        status = (
+            "unbounded" if self._unbounded
+            else "fail" if self._witnesses
+            else "pass" if self.samples
+            else "vacuous"
+        )
+        witnesses = self._unbounded or self._witnesses
+        return CheckItem(self.id, self.anchor, status, self.samples, witnesses)
 
 
 def vacuous_report(model_desc: str, suite: str, items: Iterable[tuple[str, str]]) -> CheckReport:
@@ -436,54 +432,34 @@ _PLAN = "planned reports"
 _CHUNK = 64
 
 
-def suite_laws(suite: str, items, body: Callable[..., Iterable[tuple[str, object]]]):
-    """The (rows, body) of one suite whose body yields plain law ids."""
-
-    def keyed(*sample):
-        for law, outcome in body(*sample):
-            yield (suite, law), outcome
-
-    return {suite: items}, keyed
-
-
 def run_pass(
-    model, cfg: SampleConfig, arity: tuple[int, int], law_sets
-) -> dict[str, list[ItemCheck]]:
-    """Tally every law set on each tuple of one sample stream, drawn once.
+    model, cfg: SampleConfig, arity: tuple[int, int], rows: dict, body: Callable
+) -> dict[str, list[CheckItem]]:
+    """Tally one law set on each tuple of one sample stream, drawn once.
 
-    Each law set is (rows, body): rows maps a suite to its (law id,
-    anchor) rows, and body(*sample) runs once per tuple of sample_stream
-    (arity is its count of scalars and of vectors), yielding ((suite,
-    law id), outcome) for each law it decided on that tuple. A falsy
-    outcome passes, a Witness or a list of them fails, and an Unbounded
-    witness marks the law unbounded. A law not yielded on a tuple is not
-    sampled on it. Returns each suite's ItemChecks in row order.
+    rows maps each suite to its (law id, anchor) rows, and body(*sample)
+    runs once per tuple of sample_stream (arity is its count of scalars
+    and of vectors), yielding ((suite, law id), outcome) for each law it
+    decided on that tuple. A falsy outcome passes; any other is a
+    Witness, an Unbounded or a list of them, and ItemCheck.sample takes
+    it. A law not yielded on a tuple is not sampled on it. Returns each
+    suite's finished items (ItemCheck.finish) in row order.
     """
     checks = {
         (suite, law): ItemCheck(law, anchor)
-        for rows, _ in law_sets
         for suite, items in rows.items()
         for law, anchor in items
     }
-    bodies = [body for _, body in law_sets]
     stream = sample_stream(cfg, model.field, model.dim, *arity)
     while chunk := tuple(itertools.islice(stream, _CHUNK)):
         for sample in chunk:
-            for body in bodies:
-                for key, outcome in body(*sample):
-                    check = checks[key]
-                    if not outcome:
-                        check.samples += 1  # a pass keeps no witness
-                    elif isinstance(outcome, Unbounded):
-                        check.mark_unbounded(outcome)
-                    elif isinstance(outcome, Witness):
-                        check.sample([outcome])
-                    else:
-                        check.sample(outcome)
+            for key, outcome in body(*sample):
+                if outcome:
+                    checks[key].sample(outcome)
+                else:
+                    checks[key].samples += 1  # a pass keeps no witness
     return {
-        suite: [checks[suite, law] for law, _ in items]
-        for rows, _ in law_sets
-        for suite, items in rows.items()
+        suite: [checks[suite, law].finish() for law, _ in items] for suite, items in rows.items()
     }
 
 
@@ -558,18 +534,10 @@ def _run_suite(name: str, model, ip, cfg: SampleConfig, memo: dict) -> CheckRepo
         for suite, other in SUITES.items()
         if other.stream == spec.stream and (suite, cfg) in memo[_PLAN] and (suite, cfg) not in memo
     }
-    builders: dict[Callable, list[str]] = {}
+    rows, body = spec.step("laws")(model, ip, tuple(group), *reads) if spec.laws else ({}, None)
+    sampled = run_pass(model, cfg, spec.stream, rows, body) if rows else {}
     for suite, other in group.items():
-        if other.laws:
-            builders.setdefault(other.step("laws"), []).append(suite)
-    law_sets = [
-        law_set
-        for laws, suites in builders.items()
-        if (law_set := laws(model, ip, tuple(suites), *reads))[0]
-    ]
-    tallies = run_pass(model, cfg, spec.stream, law_sets) if law_sets else {}
-    for suite, other in group.items():
-        items = [check.finish() for check in tallies[suite]] if suite in tallies else None
+        items = sampled.get(suite)
         if other.finish:
             items = other.step("finish")(cfg, items, *reads)
         memo[suite, cfg] = (

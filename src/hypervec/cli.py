@@ -29,7 +29,7 @@ from .checker import (
     report_document,
     run_suites,
 )
-from .dsl import ModelFile, parse_model_file
+from .dsl import ModelFile, ModelFileError, parse_model_file
 from .essential import essential_points
 from .inner import DotProduct, UnboundedSupremumError, sup_pairing
 from .scalars import parse_scalar
@@ -37,10 +37,19 @@ from .vectors import parse_vector
 
 
 def _load_model_file(path: str) -> ModelFile:
-    # newline="": the lexer counts lines at \n only, so a lone \r must
+    # read as bytes: the lexer counts lines at \n only, so a lone \r must
     # reach it as it is for its positions to be the file's
-    with open(path, encoding="utf-8", newline="") as fh:
-        return parse_model_file(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # positioned as the lexer counts: a column is one character
+        lines = data[: exc.start].decode("utf-8").split("\n")
+        raise ModelFileError(
+            f"invalid UTF-8 byte {data[exc.start]:#04x}", len(lines), len(lines[-1]) + 1
+        ) from None
+    return parse_model_file(text)
 
 
 def _effective_config(params: dict[str, int], args: argparse.Namespace) -> SampleConfig:

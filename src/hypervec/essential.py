@@ -23,12 +23,11 @@ for a finite a o x, so it prints the same way.
 
 check_weak_normal asks only that the sumset of two essential sets meets
 the target essential set. check_strong_normal asks that every choice of
-summands lands in the target and that the target holds nothing else.
-Both read the same sums, so one law builder decides the readings a run
-plans on each tuple from one set of five essential sets; the weak
-reading misses exactly when every sum is outside the target. Their
-(2, 2) stream is the one wvs_axioms reads, and one pass evaluates all
-three (checker.run_suites).
+summands lands in the target and that the target holds nothing else;
+the weak reading misses exactly when every sum is outside the target.
+Both read the sums of the (2, 2) stream wvs_axioms reads, so their laws
+are decided by that stream's one law builder, models._sum_laws, from
+the closed-form essential sets of the products the axioms build.
 check_normal_equivalence compares the two reports and flags models
 where the readings disagree: it samples nothing, and its finish step
 (_equivalence) gives two summary items (checker.summary_item) of the
@@ -43,7 +42,6 @@ from .checker import (
     SampleConfig,
     Witness,
     run_one,
-    suite_laws,
     summary_item,
 )
 from .models import (
@@ -133,13 +131,13 @@ def _lemma_basic_laws(model: ModelSpec, ip, suites: tuple[str, ...], strong: Che
 
     def laws(a, b, x):
         e_unit = essential_points(model, one, x)
-        yield "unit_essential", x not in e_unit.elements and Witness(
+        yield ("lemma_basic", "unit_essential"), x not in e_unit.elements and Witness(
             {"x": x, "E[1 o x]": e_unit}, "x is not an essential point of 1 o x"
         )
 
         if not is_zero(b):
             target = product(model, a * b, x)
-            yield "scales_product", [
+            yield ("lemma_basic", "scales_product"), [
                 Witness(
                     {"a": a, "b": b, "x": x, "e": e, "a o e": swept, "(a*b) o x": target},
                     "a o e differs from (a*b) o x",
@@ -151,7 +149,7 @@ def _lemma_basic_laws(model: ModelSpec, ip, suites: tuple[str, ...], strong: Che
         e_pos = essential_points(model, a, x)
         e_neg = essential_points(model, -a, x)
         mirrored = sorted_vectors(-p for p in e_pos.elements)
-        yield "negation_mirror", mirrored != e_neg.elements and Witness(
+        yield ("lemma_basic", "negation_mirror"), mirrored != e_neg.elements and Witness(
             {"a": a, "x": x, "E[a o x]": e_pos, "E[(-a) o x]": e_neg},
             "negating the essential set does not give the essential set of the negated scalar",
         )
@@ -159,102 +157,19 @@ def _lemma_basic_laws(model: ModelSpec, ip, suites: tuple[str, ...], strong: Che
         if not is_zero(a):
             ys = essential_points(model, invert(a), x)
             reached = any(x in essential_points(model, a, y).elements for y in ys.elements)
-            yield "reachable", not reached and Witness(
+            yield ("lemma_basic", "reachable"), not reached and Witness(
                 {"a": a, "x": x, "E[a^-1 o x]": ys},
                 "no essential choice y of a^-1 o x makes x essential in a o y",
             )
 
         if strong_ok:
-            yield "singleton_under_strong_normality", len(e_pos.elements) != 1 and Witness(
+            single = len(e_pos.elements) == 1
+            yield ("lemma_basic", "singleton_under_strong_normality"), not single and Witness(
                 {"a": a, "x": x, "E[a o x]": e_pos},
                 "essential set is not a singleton although the all-choices reading holds",
             )
 
-    return suite_laws("lemma_basic", _LEMMA_BASIC_ITEMS, laws)
-
-
-_READINGS = {
-    "weak_normal": (
-        ("scalar_condition", "(E[a1 o x] + E[a2 o x]) meets E[(a1+a2) o x]"),
-        ("vector_condition", "(E[a o x1] + E[a o x2]) meets E[a o (x1+x2)]"),
-    ),
-    "strong_normal": (
-        (
-            "scalar_condition",
-            "E[a1 o x] + E[a2 o x] = E[(a1+a2) o x] for every choice of summands",
-        ),
-        (
-            "vector_condition",
-            "E[a o x1] + E[a o x2] = E[a o (x1+x2)] for every choice of summands",
-        ),
-    ),
-}
-
-
-def _read_condition(
-    law: str,
-    given: dict,
-    names: tuple[str, str, str],
-    sets: tuple[FiniteSet, ...],
-    suites: tuple[str, ...],
-):
-    """The readings of suites (weak_normal, strong_normal or both) of
-    one condition: E1 + E2 against the target E, with sets = (E1, E2, E)
-    bound under names in a weak witness.
-
-    The strong reading lists the sums of choices outside the target and
-    the target points no sum reaches. The weak one asks that some sum
-    lands in the target: it fails exactly when every sum is outside.
-    """
-    e1, e2, target = sets
-    sums = [(p1, p2, p1 + p2) for p1 in e1.elements for p2 in e2.elements]
-    outside = [(p1, p2, s) for p1, p2, s in sums if s not in target.elements]
-    if "weak_normal" in suites:
-        yield ("weak_normal", law), len(outside) == len(sums) and Witness(
-            {**given, **dict(zip(names, sets))},
-            "essential sumset misses the target essential set",
-        )
-    if "strong_normal" in suites:
-        achievable = {s for _, _, s in sums}
-        yield ("strong_normal", law), [
-            Witness(
-                {**given, "choice1": p1, "choice2": p2, "sum": s, "target": target},
-                "sum of essential choices is not an essential point of the target",
-            )
-            for p1, p2, s in outside
-        ] + [
-            Witness(
-                {**given, "missing": t, "target": target},
-                "target essential point is not achievable as a sum of choices",
-            )
-            for t in target.elements
-            if t not in achievable
-        ]
-
-
-def _normality_laws(model: ModelSpec, ip, suites: tuple[str, ...]):
-    """The law set of the normality readings in suites on one (2, 2)
-    tuple: five essential sets per tuple, read by both (see
-    checker.Suite)."""
-
-    def laws(a1, a2, x1, x2):
-        e1 = essential_points(model, a1, x1)
-        yield from _read_condition(
-            "scalar_condition",
-            {"a1": a1, "a2": a2, "x": x1},
-            ("E[a1 o x]", "E[a2 o x]", "E[(a1+a2) o x]"),
-            (e1, essential_points(model, a2, x1), essential_points(model, a1 + a2, x1)),
-            suites,
-        )
-        yield from _read_condition(
-            "vector_condition",
-            {"a": a1, "x1": x1, "x2": x2},
-            ("E[a o x1]", "E[a o x2]", "E[a o (x1+x2)]"),
-            (e1, essential_points(model, a1, x2), essential_points(model, a1, x1 + x2)),
-            suites,
-        )
-
-    return {suite: _READINGS[suite] for suite in suites}, laws
+    return {"lemma_basic": _LEMMA_BASIC_ITEMS}, laws
 
 
 def check_weak_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> CheckReport:

@@ -38,7 +38,6 @@ from .checker import (
     Value,
     Witness,
     run_one,
-    suite_laws,
     summary_item,
 )
 from .essential import essential_points
@@ -451,11 +450,11 @@ def _theorem_laws(
 
     def laws(a, x):
         ess = essential_points(model, a, x)
-        yield "essential_singletons", len(ess.elements) != 1 and Witness(
+        yield ("theorem_normal", "essential_singletons"), len(ess.elements) != 1 and Witness(
             {"a": a, "x": x, "essential": ess}, "essential set is not a singleton"
         )
 
-    return suite_laws("theorem_normal", _THEOREM_ITEMS[:1], laws)
+    return {"theorem_normal": _THEOREM_ITEMS[:1]}, laws
 
 
 def check_norm_props(

@@ -17,8 +17,12 @@ Four product families are built in:
 * sign:           a o x = {a*x, -a*x}, over Q only
 
 check_wvs_axioms samples the five weak-space axioms on (2, 2) tuples,
-the stream the two normality readings of `essential` read too, so a run
-that plans them evaluates all three in one pass (checker.run_suites).
+the stream the two normality readings of `essential` read too. One law
+builder (_sum_laws) decides the three suites a run plans on each tuple
+from one scaling each of a*x, a*y and b*x and one sum x+y: the axioms
+compare the products built from them, the readings (_read_condition)
+the essential sets U(M)*v that family.essential gives for them, the
+closed form essential.essential_points returns.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .checker import CheckReport, SampleConfig, Value, Witness, run_one, suite_laws
+from .checker import CheckReport, SampleConfig, Value, Witness, run_one
 from .scalars import FieldTag, Scalar, is_zero, make_scalar
 from .vectors import Vector, sorted_vectors, zero_vector
 
@@ -420,41 +424,125 @@ def check_wvs_axioms(model: ModelSpec, cfg: SampleConfig | None = None) -> Check
     return run_one("wvs_axioms", model, None, cfg or SampleConfig())
 
 
-def _wvs_laws(model: ModelSpec, ip, suites: tuple[str, ...]):
-    """The law set of wvs_axioms on one (2, 2) tuple (see checker.Suite)."""
+_READINGS = {
+    "weak_normal": (
+        ("scalar_condition", "(E[a1 o x] + E[a2 o x]) meets E[(a1+a2) o x]"),
+        ("vector_condition", "(E[a o x1] + E[a o x2]) meets E[a o (x1+x2)]"),
+    ),
+    "strong_normal": (
+        (
+            "scalar_condition",
+            "E[a1 o x] + E[a2 o x] = E[(a1+a2) o x] for every choice of summands",
+        ),
+        (
+            "vector_condition",
+            "E[a o x1] + E[a o x2] = E[a o (x1+x2)] for every choice of summands",
+        ),
+    ),
+}
+
+
+def _read_condition(
+    law: str,
+    given: dict,
+    names: tuple[str, str, str],
+    sets: tuple[FiniteSet, ...],
+    suites: set[str],
+):
+    """The readings of suites (weak_normal, strong_normal or both) of
+    one condition: E1 + E2 against the target E, with sets = (E1, E2, E)
+    bound under names in a weak witness.
+
+    The strong reading lists the sums of choices outside the target and
+    the target points no sum reaches. The weak one asks that some sum
+    lands in the target: it fails exactly when every sum is outside.
+    """
+    e1, e2, target = sets
+    sums = [(p1, p2, p1 + p2) for p1 in e1.elements for p2 in e2.elements]
+    outside = [(p1, p2, s) for p1, p2, s in sums if s not in target.elements]
+    if "weak_normal" in suites:
+        yield ("weak_normal", law), len(outside) == len(sums) and Witness(
+            {**given, **dict(zip(names, sets))},
+            "essential sumset misses the target essential set",
+        )
+    if "strong_normal" in suites:
+        achievable = {s for _, _, s in sums}
+        yield ("strong_normal", law), [
+            Witness(
+                {**given, "choice1": p1, "choice2": p2, "sum": s, "target": target},
+                "sum of essential choices is not an essential point of the target",
+            )
+            for p1, p2, s in outside
+        ] + [
+            Witness(
+                {**given, "missing": t, "target": target},
+                "target essential point is not achievable as a sum of choices",
+            )
+            for t in target.elements
+            if t not in achievable
+        ]
+
+
+def _sum_laws(model: ModelSpec, ip, suites: tuple[str, ...]):
+    """The law set of wvs_axioms and the normality readings, those of
+    them in suites, on one (2, 2) tuple (a, b, x, y) (see checker.Suite).
+
+    a*x, a*y, b*x and x+y are built once and read by both: the axioms
+    build a o x, a o y and b o x from them, and the readings the five
+    essential sets, bound as (a1, a2, x1, x2) in their witnesses.
+    """
+    wvs = "wvs_axioms" in suites
+    readings = _READINGS.keys() & suites
     one = model.admit_scalar(1)
-    apply, zero = model.family.apply, model.zero()
+    apply, essential, zero = model.family.apply, model.family.essential, model.zero()
 
     def laws(a, b, x, y):
-        # each classical value scaled once, then a o x, a o y and b o x from it
-        classical_ax, classical_ay, classical_bx = x.scaled(a), y.scaled(a), x.scaled(b)
-        ax, bx = apply(classical_ax, zero), apply(classical_bx, zero)
-        _classical_sum_meets(
-            product(model, a, x + y), ax, classical_ax, apply(classical_ay, zero), classical_ay
-        )
-        yield "right_distributive", False
-        _classical_sum_meets(product(model, a + b, x), ax, classical_ax, bx, classical_bx)
-        yield "left_distributive", False
+        # the classical values, each scaled once; a_o_x is the set a o x
+        ax, ay, bx, x_plus_y = x.scaled(a), y.scaled(a), x.scaled(b), x + y
+        if wvs:
+            a_o_x, b_o_x = apply(ax, zero), apply(bx, zero)
+            _classical_sum_meets(product(model, a, x_plus_y), a_o_x, ax, apply(ay, zero), ay)
+            yield ("wvs_axioms", "right_distributive"), False
+            _classical_sum_meets(product(model, a + b, x), a_o_x, ax, b_o_x, bx)
+            yield ("wvs_axioms", "left_distributive"), False
 
-        swept = product_of_set(model, a, bx)
-        direct = product(model, a * b, x)
-        yield "scalar_associative", not hyperset_eq(swept, direct) and Witness(
-            {"a": a, "b": b, "x": x, "swept": swept, "direct": direct},
-            "a o (b o x) differs from (a*b) o x",
-        )
+            swept = product_of_set(model, a, b_o_x)
+            direct = product(model, a * b, x)
+            yield ("wvs_axioms", "scalar_associative"), not hyperset_eq(swept, direct) and Witness(
+                {"a": a, "b": b, "x": x, "swept": swept, "direct": direct},
+                "a o (b o x) differs from (a*b) o x",
+            )
 
-        neg_arg = product(model, a, -x)
-        neg_scalar = product(model, -a, x)
-        neg_image = negate_set(ax)
-        agree = hyperset_eq(neg_arg, neg_scalar) and hyperset_eq(neg_scalar, neg_image)
-        yield "negation", not agree and Witness(
-            {"a": a, "x": x, "a o (-x)": neg_arg, "(-a) o x": neg_scalar, "-(a o x)": neg_image},
-            "negation images disagree",
-        )
+            neg_arg = product(model, a, -x)
+            neg_scalar = product(model, -a, x)
+            neg_image = negate_set(a_o_x)
+            agree = hyperset_eq(neg_arg, neg_scalar) and hyperset_eq(neg_scalar, neg_image)
+            yield ("wvs_axioms", "negation"), not agree and Witness(
+                {"a": a, "x": x, "a o (-x)": neg_arg, "(-a) o x": neg_scalar,
+                 "-(a o x)": neg_image},
+                "negation images disagree",
+            )
 
-        unit = product(model, one, x)
-        yield "unit_contains", not contains(unit, x) and Witness(
-            {"x": x, "1 o x": unit}, "x is not an element of 1 o x"
-        )
+            unit = product(model, one, x)
+            yield ("wvs_axioms", "unit_contains"), not contains(unit, x) and Witness(
+                {"x": x, "1 o x": unit}, "x is not an element of 1 o x"
+            )
+        if readings:
+            e_ax = FiniteSet(essential(ax))
+            yield from _read_condition(
+                "scalar_condition",
+                {"a1": a, "a2": b, "x": x},
+                ("E[a1 o x]", "E[a2 o x]", "E[(a1+a2) o x]"),
+                (e_ax, FiniteSet(essential(bx)), FiniteSet(essential(x.scaled(a + b)))),
+                readings,
+            )
+            yield from _read_condition(
+                "vector_condition",
+                {"a": a, "x1": x, "x2": y},
+                ("E[a o x1]", "E[a o x2]", "E[a o (x1+x2)]"),
+                (e_ax, FiniteSet(essential(ay)), FiniteSet(essential(x_plus_y.scaled(a)))),
+                readings,
+            )
 
-    return suite_laws("wvs_axioms", _WVS_ITEMS, laws)
+    rows = {"wvs_axioms": _WVS_ITEMS, **_READINGS}
+    return {suite: rows[suite] for suite in suites}, laws

@@ -32,11 +32,10 @@ from hypervec.checker import (
     run_pass,
     run_suites,
     sample_stream,
-    suite_laws,
     summary_item,
     vacuous_report,
 )
-from hypervec import checker, essential, inner
+from hypervec import checker, essential, inner, models
 from hypervec.cli import main
 from hypervec.essential import check_lemma_basic, check_strong_normal, essential_points
 from hypervec.inner import DotProduct, check_hip_axioms
@@ -267,7 +266,7 @@ class TestItemCheck:
     def test_unbounded_beats_everything(self):
         c = ItemCheck("x", "a")
         c.sample([w("f")])
-        c.mark_unbounded(w("u"))
+        c.sample(Unbounded({"k": "u"}, "grows"))
         item = c.finish()
         assert item.status == "unbounded"
         assert [x.bindings["k"] for x in item.witnesses] == ["u"]
@@ -287,7 +286,7 @@ class TestItemCheck:
         for i in range(3 * MAX_WITNESSES):
             c.sample([Witness({"k": Value(f"w{i}")}, "broken")])
         # a full ordinary kind leaves the unbounded kind rendering
-        c.mark_unbounded(Unbounded({"k": Value("u")}, "grows"))
+        c.sample(Unbounded({"k": Value("u")}, "grows"))
         assert rendered == [f"w{i}" for i in range(MAX_WITNESSES)] + ["u"]
         item = c.finish()
         assert [x.bindings["k"] for x in item.witnesses] == ["u"]
@@ -314,7 +313,7 @@ class TestItemCheck:
                 c.sample(batch)
             else:
                 batch = [Unbounded({"k": k}, "grows " + rel) for k, rel in tags]
-                c.mark_unbounded(batch[0])
+                c.sample(batch[0])
             for witness in batch:
                 key = (tuple(sorted(witness.bindings.items())), witness.relation)
                 if key not in seen:
@@ -337,17 +336,17 @@ PLANE = ModelSpec(FieldTag.Q, 2, Trivial())
 
 
 def laws_report(body):
-    """run_pass over ROWS on one scalar and one vector per sample."""
-    (checks,) = run_pass(PLANE, SMALL, (1, 1), [suite_laws("s", ROWS, body)]).values()
-    return CheckReport(PLANE.describe(), "s", [check.finish() for check in checks])
+    """run_pass over ROWS of suite s on one scalar and one vector per sample."""
+    (items,) = run_pass(PLANE, SMALL, (1, 1), {"s": ROWS}, body).values()
+    return CheckReport(PLANE.describe(), "s", items)
 
 
 class TestRunLaws:
     def test_falsy_outcomes_pass(self):
         def body(a, x):
-            yield "a", False
-            yield "a", None
-            yield "b", []
+            yield ("s", "a"), False
+            yield ("s", "a"), None
+            yield ("s", "b"), []
 
         report = laws_report(body)
         assert (report.model, report.suite) == (PLANE.describe(), "s")
@@ -356,8 +355,8 @@ class TestRunLaws:
 
     def test_single_witness_fails(self):
         def body(a, x):
-            yield "a", x.is_zero and Witness({"a": a, "x": x}, "zero vector")
-            yield "b", False
+            yield ("s", "a"), x.is_zero and Witness({"a": a, "x": x}, "zero vector")
+            yield ("s", "b"), False
 
         a, b = laws_report(body).items
         assert (a.status, a.samples, b.status) == ("fail", 20, "pass")
@@ -369,8 +368,8 @@ class TestRunLaws:
 
     def test_witness_list_fails_with_each(self):
         def body(a, x):
-            yield "a", [Witness({"k": k}, "listed") for k in range(3) if a == 1]
-            yield "b", []
+            yield ("s", "a"), [Witness({"k": k}, "listed") for k in range(3) if a == 1]
+            yield ("s", "b"), []
 
         a, b = laws_report(body).items
         assert (a.status, a.samples, b.status) == ("fail", 20, "pass")
@@ -378,8 +377,8 @@ class TestRunLaws:
 
     def test_unbounded_outcome_marks_unbounded(self):
         def body(a, x):
-            yield "a", a == -1 and Unbounded({"a": a}, "grows")
-            yield "b", Witness({"a": a}, "broken")
+            yield ("s", "a"), a == -1 and Unbounded({"a": a}, "grows")
+            yield ("s", "b"), Witness({"a": a}, "broken")
 
         a, b = laws_report(body).items
         assert (a.status, a.samples) == ("unbounded", 20)
@@ -391,7 +390,7 @@ class TestRunLaws:
     def test_unyielded_law_is_not_sampled(self):
         def body(a, x):
             if a != 0:
-                yield "a", False
+                yield ("s", "a"), False
 
         a, b = laws_report(body).items
         assert a.status == "pass" and 0 < a.samples < 20
@@ -529,9 +528,9 @@ class TestSuitesWithoutInnerProduct:
         calls = []
         run_pass = checker.run_pass
 
-        def counted(model, cfg, arity, law_sets):
+        def counted(model, cfg, arity, rows, body):
             calls.append((cfg, arity))
-            return run_pass(model, cfg, arity, law_sets)
+            return run_pass(model, cfg, arity, rows, body)
 
         monkeypatch.setattr(checker, "run_pass", counted)
         m = ModelSpec(FieldTag.Q, 2, ZeroAugmented())
@@ -659,10 +658,41 @@ class TestSharedRunMatchesStandaloneChecks:
             run_suites(model, ip, cfg, [suite], memo)
         assert alone and calls == alone
 
+    @pytest.mark.parametrize("family", [Sign(), Geometric(F(2))], ids=repr)
+    def test_planning_only_wvs_builds_no_essential_set(self, family, monkeypatch):
+        # the (2, 2) stream's one builder decides the axioms and the
+        # readings; a run that plans only one side builds nothing for the other
+        model, cfg = ModelSpec(FieldTag.Q, 2, family), SampleConfig(samples=60)
+        calls = []
+        essential_set = type(family).essential
+        monkeypatch.setattr(
+            type(family), "essential", lambda *args: calls.append(args) or essential_set(*args)
+        )
+        check_strong_normal(model, cfg)
+        assert calls
+        calls[:] = []
+        check_wvs_axioms(model, cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("family", [Sign(), Geometric(F(2))], ids=repr)
+    def test_planning_only_strong_normal_builds_no_product(self, family, monkeypatch):
+        model, cfg = ModelSpec(FieldTag.Q, 2, family), SampleConfig(samples=60)
+        calls = []
+        for name in ("product", "product_of_set"):
+            built = getattr(models, name)
+            monkeypatch.setattr(
+                models, name, lambda *args, built=built: calls.append(args) or built(*args)
+            )
+        check_wvs_axioms(model, cfg)
+        assert calls
+        calls[:] = []
+        check_strong_normal(model, cfg)
+        assert calls == []
+
 
 def test_suites_of_one_stream_take_the_same_arguments():
-    # one pass hands the same reports and inner product to every builder
-    # of a stream
+    # one pass calls its stream's one builder with the same reports and
+    # inner product for every suite of the stream
     by_stream = {}
     for name, spec in SUITES.items():
         # every step resolves in the suite's module
@@ -676,7 +706,8 @@ def test_suites_of_one_stream_take_the_same_arguments():
         assert (spec.rows is not None) == (spec.module == "inner"), name
         assert (spec.stream is None) == (spec.laws is None), name
         assert spec.stream is not None or spec.finish is not None, name
-        by_stream.setdefault(spec.stream, set()).add((spec.reads, spec.module == "inner"))
+        # one builder per stream: one module, one laws step, one set of reads
+        by_stream.setdefault(spec.stream, set()).add((spec.module, spec.laws, spec.reads))
     assert sorted(by_stream, key=str) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), None]
     assert all(len(kinds) == 1 for kinds in by_stream.values())
 

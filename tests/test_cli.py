@@ -115,6 +115,26 @@ class TestCheckCommand:
         assert err == f"error: {parsed.value}\n"
         assert err.startswith("error: line 1, column 20: unknown field 'R'")
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (
+                b'model "m\xff" { field Q dim 1 product trivial }\n',
+                "line 1, column 9: invalid UTF-8 byte 0xff",
+            ),
+            # columns count characters, not bytes; lines end at \n only
+            (
+                '# \u00e9\r\nmodel "\u00e9'.encode("utf-8") + b"\xe2\x82",
+                "line 2, column 9: invalid UTF-8 byte 0xe2",
+            ),
+        ],
+    )
+    def test_invalid_utf8_exits_two_with_its_position(self, data, message, tmp_path, capsys):
+        path = tmp_path / "bad.hvs"
+        path.write_bytes(data)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_huge_literal_exits_two_without_traceback(self):
         path = CORPUS / "invalid" / "i16_huge_literal.hvs"
         proc = subprocess.run(
@@ -175,9 +195,9 @@ def count_passes(monkeypatch):
     passes = Counter()
     run_pass = checker.run_pass
 
-    def counted(model, cfg, arity, law_sets):
-        passes[cfg, arity, tuple(sorted(suite for rows, _ in law_sets for suite in rows))] += 1
-        return run_pass(model, cfg, arity, law_sets)
+    def counted(model, cfg, arity, rows, body):
+        passes[cfg, arity, tuple(sorted(rows))] += 1
+        return run_pass(model, cfg, arity, rows, body)
 
     monkeypatch.setattr(checker, "run_pass", counted)
     return passes

@@ -5,10 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypervec.checker import CheckReport, SampleConfig, Witness, run_pass, suite_laws
+from hypervec.checker import CheckReport, SampleConfig, Witness, run_pass
 from hypervec.essential import (
-    _READINGS,
-    _read_condition,
     check_lemma_basic,
     check_normal_equivalence,
     check_strong_normal,
@@ -16,11 +14,13 @@ from hypervec.essential import (
     essential_points,
 )
 from hypervec.models import (
+    _READINGS,
     Geometric,
     ModelSpec,
     Sign,
     Trivial,
     ZeroAugmented,
+    _read_condition,
     contains,
     finite,
     product,
@@ -203,9 +203,8 @@ class TestNormalityReadings:
 
 def separate_pass(model, suite, cfg, laws):
     """The report of one reading from a pass that evaluates it alone."""
-    rows = _READINGS[suite]
-    (checks,) = run_pass(model, cfg, (2, 2), [suite_laws(suite, rows, laws)]).values()
-    return CheckReport(model.describe(), suite, [check.finish() for check in checks])
+    (items,) = run_pass(model, cfg, (2, 2), {suite: _READINGS[suite]}, laws).values()
+    return CheckReport(model.describe(), suite, items)
 
 
 def weak_oracle(model, cfg):
@@ -215,14 +214,14 @@ def weak_oracle(model, cfg):
         e1 = essential_points(model, a1, x1)
         e2 = essential_points(model, a2, x1)
         target = essential_points(model, a1 + a2, x1)
-        yield "scalar_condition", weak_misses(
+        yield ("weak_normal", "scalar_condition"), weak_misses(
             {"a1": a1, "a2": a2, "x": x1,
              "E[a1 o x]": e1, "E[a2 o x]": e2, "E[(a1+a2) o x]": target},
             e1, e2, target,
         )
         f2 = essential_points(model, a1, x2)
         target2 = essential_points(model, a1, x1 + x2)
-        yield "vector_condition", weak_misses(
+        yield ("weak_normal", "vector_condition"), weak_misses(
             {"a": a1, "x1": x1, "x2": x2,
              "E[a o x1]": e1, "E[a o x2]": f2, "E[a o (x1+x2)]": target2},
             e1, f2, target2,
@@ -263,12 +262,12 @@ def strong_oracle(model, cfg):
         e1 = essential_points(model, a1, x1)
         e2 = essential_points(model, a2, x1)
         target = essential_points(model, a1 + a2, x1)
-        yield "scalar_condition", strong_violations(
+        yield ("strong_normal", "scalar_condition"), strong_violations(
             {"a1": a1, "a2": a2, "x": x1}, e1, e2, target
         )
         f2 = essential_points(model, a1, x2)
         target2 = essential_points(model, a1, x1 + x2)
-        yield "vector_condition", strong_violations(
+        yield ("strong_normal", "vector_condition"), strong_violations(
             {"a": a1, "x1": x1, "x2": x2}, e1, f2, target2
         )
 

@@ -8,7 +8,8 @@ one argument):
 Tokens are the tokens of `tokenize`, leaving out comments, line breaks,
 indentation, the end marker and every string that is a statement on its
 own (a docstring). Lines are the lines that are neither blank nor only a
-comment. Stdlib only.
+comment. An argument that is not a directory (or more than one) prints
+the usage and exits 2. Stdlib only.
 """
 
 from __future__ import annotations
@@ -51,9 +52,15 @@ def count_lines(source: str) -> int:
     )
 
 
+USAGE = "usage: python3 tools/codesize.py [PATH]"
+
+
 def main(argv: list[str]) -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     root = argv[0] if argv else os.path.join(here, "..", "src", "hypervec")
+    if len(argv) > 1 or not os.path.isdir(root):
+        print(USAGE, file=sys.stderr)
+        return 2
     rows = []
     for name in sorted(os.listdir(root)):
         if name.endswith(".py"):
