@@ -53,18 +53,11 @@ def _load_model_file(path: str) -> ModelFile:
 
 
 def _effective_config(params: dict[str, int], args: argparse.Namespace) -> SampleConfig:
-    base = SampleConfig()
-
-    def pick(flag_value, key: str, default: int) -> int:
-        if flag_value is not None:
-            return flag_value
-        return params.get(key, default)
-
-    cfg = SampleConfig(
-        seed=pick(args.seed, "seed", base.seed),
-        samples=pick(args.samples, "samples", base.samples),
-        height=params.get("height", base.height),
-    )
+    flags = {"seed": args.seed, "samples": args.samples}
+    cfg = SampleConfig(**{
+        **{key: value for key, value in params.items() if key != "depth"},
+        **{key: value for key, value in flags.items() if value is not None},
+    })
     # --depth is accepted for old scripts and read by nothing, but checked
     if args.depth is not None and args.depth < 1:
         raise ValueError("depth must be positive")
@@ -86,7 +79,9 @@ def _print_report(report: CheckReport, out: IO[str]) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     mf = _load_model_file(args.file)
-    _effective_config({}, args)  # a bad flag exits 2 even when no directive runs
+    # the flags alone: a bad flag exits 2 even when no directive runs, and
+    # the report's seed is --seed or the default
+    flags_cfg = _effective_config({}, args)
     cfgs = [_effective_config(directive.params, args) for directive in mf.checks]
     reports: list[CheckReport] = []
     memo: dict = {}  # shared by the directives, so no report is computed twice
@@ -99,8 +94,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for report in reports:
         _print_report(report, sys.stdout)
     if args.json is not None:
-        doc_seed = args.seed if args.seed is not None else SampleConfig().seed
-        doc = report_document(mf.model.describe(), doc_seed, reports)
+        doc = report_document(mf.model.describe(), flags_cfg.seed, reports)
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(render_json(doc))
     return 0 if all(report.clean for report in reports) else 1

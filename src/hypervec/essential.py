@@ -126,11 +126,10 @@ def check_lemma_basic(
 
 def _lemma_basic_laws(model: ModelSpec, ip, suites: tuple[str, ...], strong: CheckReport):
     """The law set of lemma_basic on one (2, 1) tuple (see checker.Suite)."""
-    one = model.admit_scalar(1)
     strong_ok = strong.all_passed
 
     def laws(a, b, x):
-        e_unit = essential_points(model, one, x)
+        e_unit = essential_points(model, 1, x)
         yield ("lemma_basic", "unit_essential"), x not in e_unit.elements and Witness(
             {"x": x, "E[1 o x]": e_unit}, "x is not an essential point of 1 o x"
         )

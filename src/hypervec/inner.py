@@ -290,7 +290,6 @@ def _pairing_laws(model: ModelSpec, ip: InnerProductSpec, suites: tuple[str, ...
     """
     real = "real_ip" in suites and model.field is FieldTag.Q
     hip = "hip" in suites
-    one = model.admit_scalar(1)
 
     def laws(a, x, y, z):
         xx = pairing(ip, x, x)  # a Fraction over Q, where real_ip runs
@@ -363,7 +362,7 @@ def _pairing_laws(model: ModelSpec, ip: InnerProductSpec, suites: tuple[str, ...
                 for e, got in at_ess
                 if got != expected
             ]
-            unit_set = product(model, one, x)
+            unit_set = product(model, 1, x)
             bad = _ball_violation(ip, unit_set, as_real(xx))
             yield ("hip", "unit_ball_bound"), bad is not None and Witness(
                 {"x": x, "u": bad, "(u,u)": norm_sq(ip, bad), "(x,x)": xx, "1 o x": unit_set},

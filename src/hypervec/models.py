@@ -19,10 +19,11 @@ Four product families are built in:
 check_wvs_axioms samples the five weak-space axioms on (2, 2) tuples,
 the stream the two normality readings of `essential` read too. One law
 builder (_sum_laws) decides the three suites a run plans on each tuple
-from one scaling each of a*x, a*y and b*x and one sum x+y: the axioms
-compare the products built from them, the readings (_read_condition)
-the essential sets U(M)*v that family.essential gives for them, the
-closed form essential.essential_points returns.
+from the scalings a*x, a*y and b*x, reading a*(x+y) = a*x + a*y,
+(a+b)*x = a*x + b*x and 1*x = x off them: the axioms compare the
+products built from these values, the readings (_read_condition) the
+essential sets U(M)*v that family.essential gives for them, the closed
+form essential.essential_points returns.
 """
 
 from __future__ import annotations
@@ -230,7 +231,8 @@ def product(model: ModelSpec, a: int | Scalar, x: Vector) -> HyperSet:
     """The model's set-valued product a o x.
 
     a and x must be of the model's field and dimension; values from
-    outside go through ModelSpec.admit_scalar/admit_vector first.
+    outside go through ModelSpec.admit_scalar/admit_vector first. An int
+    such as 1 lies in every field and needs no admitting.
     """
     return model.family.apply(x.scaled(a), model.zero())
 
@@ -487,23 +489,25 @@ def _sum_laws(model: ModelSpec, ip, suites: tuple[str, ...]):
     """The law set of wvs_axioms and the normality readings, those of
     them in suites, on one (2, 2) tuple (a, b, x, y) (see checker.Suite).
 
-    a*x, a*y, b*x and x+y are built once and read by both: the axioms
-    build a o x, a o y and b o x from them, and the readings the five
-    essential sets, bound as (a1, a2, x1, x2) in their witnesses.
+    a*x, a*y and b*x are scaled once and a*x + a*y, a*x + b*x added
+    from them: the axioms build a o x, a o y, b o x and the distributive
+    laws' whole sets from these, and the readings the five essential
+    sets, bound as (a1, a2, x1, x2) in their witnesses.
     """
     wvs = "wvs_axioms" in suites
     readings = _READINGS.keys() & suites
-    one = model.admit_scalar(1)
     apply, essential, zero = model.family.apply, model.family.essential, model.zero()
 
     def laws(a, b, x, y):
-        # the classical values, each scaled once; a_o_x is the set a o x
-        ax, ay, bx, x_plus_y = x.scaled(a), y.scaled(a), x.scaled(b), x + y
+        # the classical values, each scaled once: a*(x+y) = a*x + a*y and
+        # (a+b)*x = a*x + b*x exactly; a_o_x is the set a o x
+        ax, ay, bx = x.scaled(a), y.scaled(a), x.scaled(b)
+        a_xy, ab_x = ax + ay, ax + bx
         if wvs:
             a_o_x, b_o_x = apply(ax, zero), apply(bx, zero)
-            _classical_sum_meets(product(model, a, x_plus_y), a_o_x, ax, apply(ay, zero), ay)
+            _classical_sum_meets(apply(a_xy, zero), a_o_x, ax, apply(ay, zero), ay)
             yield ("wvs_axioms", "right_distributive"), False
-            _classical_sum_meets(product(model, a + b, x), a_o_x, ax, b_o_x, bx)
+            _classical_sum_meets(apply(ab_x, zero), a_o_x, ax, b_o_x, bx)
             yield ("wvs_axioms", "left_distributive"), False
 
             swept = product_of_set(model, a, b_o_x)
@@ -523,7 +527,7 @@ def _sum_laws(model: ModelSpec, ip, suites: tuple[str, ...]):
                 "negation images disagree",
             )
 
-            unit = product(model, one, x)
+            unit = apply(x, zero)  # 1 o x, as 1*x = x
             yield ("wvs_axioms", "unit_contains"), not contains(unit, x) and Witness(
                 {"x": x, "1 o x": unit}, "x is not an element of 1 o x"
             )
@@ -533,14 +537,14 @@ def _sum_laws(model: ModelSpec, ip, suites: tuple[str, ...]):
                 "scalar_condition",
                 {"a1": a, "a2": b, "x": x},
                 ("E[a1 o x]", "E[a2 o x]", "E[(a1+a2) o x]"),
-                (e_ax, FiniteSet(essential(bx)), FiniteSet(essential(x.scaled(a + b)))),
+                (e_ax, FiniteSet(essential(bx)), FiniteSet(essential(ab_x))),
                 readings,
             )
             yield from _read_condition(
                 "vector_condition",
                 {"a": a, "x1": x, "x2": y},
                 ("E[a o x1]", "E[a o x2]", "E[a o (x1+x2)]"),
-                (e_ax, FiniteSet(essential(ay)), FiniteSet(essential(x_plus_y.scaled(a)))),
+                (e_ax, FiniteSet(essential(ay)), FiniteSet(essential(a_xy))),
                 readings,
             )
 

@@ -14,7 +14,7 @@ import pytest
 
 from hypervec import checker, inner
 from hypervec.checker import SUITE_NAMES, SampleConfig, render_json, report_document
-from hypervec.cli import main
+from hypervec.cli import _effective_config, build_parser, main
 from hypervec.dsl import parse_model_file
 from hypervec.scalars import FieldTag
 
@@ -180,6 +180,51 @@ class TestCheckCommand:
         assert main(["check", hvs(CLEAN_FILE.replace("samples=40", "depth=0"))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 2, column 24: depth must be at least 1")
+
+
+def effective_config(params, *flags):
+    return _effective_config(params, build_parser().parse_args(["check", "m.hvs", *flags]))
+
+
+class TestEffectiveConfig:
+    # a flag beats the same directive parameter, which beats the default
+    PARAMS = {"seed": 5, "samples": 30, "height": 7}
+
+    def test_directive_parameters_reach_the_config_without_flags(self):
+        assert effective_config(self.PARAMS) == SampleConfig(seed=5, samples=30, height=7)
+        assert effective_config({"height": 3}) == SampleConfig(height=3)
+        assert effective_config({}) == SampleConfig()
+
+    @pytest.mark.parametrize(
+        "flags, over_params, over_defaults",
+        [
+            (["--seed", "9"], SampleConfig(seed=9, samples=30, height=7), SampleConfig(seed=9)),
+            (
+                ["--samples", "11"],
+                SampleConfig(seed=5, samples=11, height=7),
+                SampleConfig(samples=11),
+            ),
+            (
+                ["--samples", "11", "--seed", "9"],
+                SampleConfig(seed=9, samples=11, height=7),
+                SampleConfig(seed=9, samples=11),
+            ),
+        ],
+    )
+    def test_each_flag_beats_only_its_own_parameter(self, flags, over_params, over_defaults):
+        assert effective_config(self.PARAMS, *flags) == over_params
+        assert effective_config({}, *flags) == over_defaults
+
+    def test_depth_never_reaches_the_config(self):
+        assert effective_config({**self.PARAMS, "depth": 4}) == effective_config(self.PARAMS)
+        assert effective_config({"depth": 4}, "--depth", "3") == SampleConfig()
+
+    def test_depth_zero_is_checked_once_the_config_is_built(self):
+        with pytest.raises(ValueError, match="^depth must be positive$"):
+            effective_config(self.PARAMS, "--depth", "0")
+        # a bad config value is reported before the depth flag
+        with pytest.raises(ValueError, match="^samples must be"):
+            effective_config({}, "--samples", "0", "--depth", "0")
 
 
 def all_suites_file(family, samples=None):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypervec import models
-from hypervec.checker import SampleConfig, render_json, report_document, sample_stream
+from hypervec.checker import SampleConfig, render_json, report_document, run_suites, sample_stream
 from hypervec.models import (
     FiniteSet,
     Geometric,
@@ -31,7 +31,7 @@ from hypervec.models import (
     sumset,
 )
 from hypervec.scalars import FieldTag, GaussianRational
-from hypervec.vectors import make_vector, unit_vector, zero_vector
+from hypervec.vectors import Vector, make_vector, unit_vector, zero_vector
 
 F = Fraction
 G = GaussianRational
@@ -357,18 +357,31 @@ class TestAxiomSuite:
     def test_missing_classical_value_raises(self, family, monkeypatch):
         model = mk(family)
         e1 = unit_vector(model.field, model.dim)
+        apply = type(family).apply
 
-        def omit_classical(model, a, x):
+        def omit_classical(self, ax, zero):
             # the family's set without a*x: rays start one step later
-            s = product(model, a, x)
-            ax = x.scaled(model.admit_scalar(a))
+            s = apply(self, ax, zero)
             if isinstance(s, GeometricRay):
                 return ray(s.base.scaled(s.ratio), s.ratio)
             return finite([v for v in s.elements if v != ax] or [ax + e1])
 
-        monkeypatch.setattr(models, "product", omit_classical)
+        monkeypatch.setattr(type(family), "apply", omit_classical)
         with pytest.raises(ModelError, match="omits a classical value"):
             check_wvs_axioms(model, SampleConfig(samples=20))
+
+    def test_sum_pass_scales_each_classical_value_once(self, monkeypatch):
+        # a*x, a*y and b*x are the only classical values scaled; a*(x+y),
+        # (a+b)*x and 1*x are read off them. Trivial's other scalings are
+        # a o (b o x), (a*b) o x, a o (-x) and (-a) o x: 7 per tuple
+        calls = []
+        scaled = Vector.scaled
+        monkeypatch.setattr(Vector, "scaled", lambda *args: calls.append(args) or scaled(*args))
+        cfg = SampleConfig(samples=50)
+        suites = ["wvs_axioms", "weak_normal", "strong_normal"]
+        reports = run_suites(mk(Trivial()), None, cfg, suites)
+        assert all(report.all_passed for report in reports)
+        assert len(calls) == 7 * cfg.samples
 
 
 class TestNegationImageProperty:

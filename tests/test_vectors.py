@@ -114,11 +114,25 @@ def test_abelian_group_laws(x, y, z):
     assert x + (-x) == zero
 
 
-@given(vectors2, rationals, rationals)
-def test_scaling_laws(x, a, b):
+@st.composite
+def scaling_cases(draw):
+    """Two vectors of dim 2 and two scalars, all of one field: Q or Q[i]."""
+    field = draw(st.sampled_from([FieldTag.Q, FieldTag.QI]))
+    scalars = rationals if field is FieldTag.Q else st.builds(G, rationals, rationals)
+    coords = st.lists(scalars, min_size=2, max_size=2)
+    x, y = make_vector(field, draw(coords)), make_vector(field, draw(coords))
+    return x, y, draw(scalars), draw(scalars)
+
+
+@given(scaling_cases())
+def test_scaling_laws(case):
+    # the identities the (2, 2) law builder reads its classical values by
+    x, y, a, b = case
     assert x.scaled(a).scaled(b) == x.scaled(a * b)
     assert x.scaled(a) + x.scaled(b) == x.scaled(a + b)
+    assert (x + y).scaled(a) == x.scaled(a) + y.scaled(a)
     assert x.scaled(F(1)) == x
+    assert x.scaled(1) == x
 
 
 # --- the lattice form against a Fraction-tuple reference --------------------
