@@ -30,14 +30,10 @@ from .scalars import FieldTag
 
 
 def catalog_models(dim: int = 2) -> list[tuple[str, ModelSpec]]:
-    """The five built-in families over Q, in documented order."""
-    return [
-        ("trivial", ModelSpec(FieldTag.Q, dim, Trivial())),
-        ("zero_augmented", ModelSpec(FieldTag.Q, dim, ZeroAugmented())),
-        ("geometric(1/2)", ModelSpec(FieldTag.Q, dim, Geometric(Fraction(1, 2)))),
-        ("geometric(2)", ModelSpec(FieldTag.Q, dim, Geometric(Fraction(2)))),
-        ("sign", ModelSpec(FieldTag.Q, dim, Sign())),
-    ]
+    """The five built-in families over Q, in documented order, each
+    named by its family's text form, the word a model file writes."""
+    families = (Trivial(), ZeroAugmented(), Geometric(Fraction(1, 2)), Geometric(2), Sign())
+    return [(str(family), ModelSpec(FieldTag.Q, dim, family)) for family in families]
 
 
 _ALL_PASS = {name: "pass" for name in SUITE_NAMES}

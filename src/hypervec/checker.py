@@ -155,14 +155,25 @@ class Value:
     """A value class: equal, hashed and shown by its fields.
 
     A subclass names its fields in _fields and keeps them in __slots__,
-    as Vector does; its __init__ checks them and sets them. Values of
-    different classes are never equal. A value is immutable by
+    as Vector does. The base sets, compares, hashes and shows a value by
+    its fields: Value(*values) sets them in order. A subclass that
+    checks, derives or copies a field defines its own __init__. Values
+    of different classes are never equal. A value is immutable by
     convention, as a Vector is: nothing stops an assignment. A mutable
     one (CheckItem, CheckReport) sets __hash__ = None.
     """
 
     __slots__ = ()
     _fields = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__qualname__}() takes {len(self._fields)} fields, "
+                f"got {len(values)}"
+            )
+        for name, value in zip(self._fields, values):
+            setattr(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))
@@ -222,13 +233,9 @@ class Witness:
 
 
 class CheckItem(Value):
+    # status: pass | fail | vacuous | unbounded
     __slots__ = _fields = ("id", "anchor", "status", "samples", "witnesses")
     __hash__ = None
-
-    def __init__(self, id: str, anchor: str, status: str, samples: int, witnesses: list[Witness]):
-        # status: pass | fail | vacuous | unbounded
-        self.id, self.anchor, self.status = id, anchor, status
-        self.samples, self.witnesses = samples, witnesses
 
     def to_json(self) -> dict:
         return {
@@ -243,9 +250,6 @@ class CheckItem(Value):
 class CheckReport(Value):
     __slots__ = _fields = ("model", "suite", "items")
     __hash__ = None
-
-    def __init__(self, model: str, suite: str, items: list[CheckItem]):
-        self.model, self.suite, self.items = model, suite, items
 
     @property
     def all_passed(self) -> bool:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import NoReturn
 
 from .checker import MAX_SAMPLES, SUITE_NAMES, Value
 from .inner import DotProduct, InnerProductSpec, WeightedDot
@@ -43,23 +44,17 @@ from .models import (
 from .scalars import FieldTag
 
 _PARAM_KEYS = ("seed", "samples", "depth", "height")
+# the families without a parameter, each read by its own text form
+_PLAIN_FAMILIES = {str(family): family for family in (Trivial(), ZeroAugmented(), Sign())}
 
 
 class ModelFileError(ValueError):
     """Positioned syntax or semantic error in a model file."""
 
-    def __init__(
-        self,
-        message: str,
-        line: int,
-        column: int,
-        expected: tuple[str, ...] = (),
-        source_line: str = "",
-    ):
+    def __init__(self, message: str, line: int, column: int, source_line: str = ""):
         self.message = message
         self.line = line
         self.column = column
-        self.expected = tuple(expected)
         self.source_line = source_line
         rendered = f"line {line}, column {column}: {message}"
         if source_line:
@@ -86,16 +81,10 @@ class ModelFile(Value):
 
     __slots__ = _fields = ("name", "model", "inner", "checks")
 
-    def __init__(self, name: str, model: ModelSpec, inner: InnerProductSpec | None, checks=()):
-        self.name, self.model, self.inner, self.checks = name, model, inner, checks
-
 
 class _Token(Value):
     # kind: ident | int | string | one of {}()=,/ | eof
     __slots__ = _fields = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind, self.text, self.line, self.column = kind, text, line, column
 
     def shown(self) -> str:
         return "end of file" if self.kind == "eof" else f"'{self.text}'"
@@ -156,25 +145,19 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def fail(self, tok: _Token, message: str, expected: tuple[str, ...] = ()):
-        raise ModelFileError(
-            message,
-            tok.line,
-            tok.column,
-            expected=expected,
-            source_line=_source_line(self.lines, tok.line),
-        )
+    def fail(self, tok: _Token, message: str) -> NoReturn:
+        raise ModelFileError(message, tok.line, tok.column, _source_line(self.lines, tok.line))
 
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.advance()
         if tok.kind != kind:
-            self.fail(tok, f"expected {what}, found {tok.shown()}", expected=(kind,))
+            self.fail(tok, f"expected {what}, found {tok.shown()}")
         return tok
 
     def expect_word(self, word: str) -> _Token:
         tok = self.advance()
         if tok.kind != "ident" or tok.text != word:
-            self.fail(tok, f"expected '{word}', found {tok.shown()}", expected=(word,))
+            self.fail(tok, f"expected '{word}', found {tok.shown()}")
         return tok
 
     def integer(self, what: str) -> tuple[int, _Token]:
@@ -185,7 +168,6 @@ class _Parser:
             # int() refuses decimal text longer than
             # sys.get_int_max_str_digits()
             self.fail(tok, f"integer literal of {len(tok.text)} digits is too long")
-            raise AssertionError("unreachable")
 
     # --- grammar productions ---
 
@@ -195,16 +177,10 @@ class _Parser:
         self.expect("{", "'{'")
         self.expect_word("field")
         field_tok = self.expect("ident", "'Q' or 'Qi'")
-        if field_tok.text == "Q":
-            field = FieldTag.Q
-        elif field_tok.text == "Qi":
-            field = FieldTag.QI
-        else:
-            self.fail(
-                field_tok,
-                f"unknown field '{field_tok.text}'",
-                expected=("Q", "Qi"),
-            )
+        try:
+            field = FieldTag(field_tok.text)
+        except ValueError:
+            self.fail(field_tok, f"unknown field '{field_tok.text}'")
         self.expect_word("dim")
         dim, dim_tok = self.integer("a dimension")
         if dim < 1:
@@ -226,14 +202,11 @@ class _Parser:
 
     def family(self, field: FieldTag) -> Family:
         tok = self.expect("ident", "a product family")
-        if tok.text == "trivial":
-            return Trivial()
-        if tok.text == "zero_augmented":
-            return ZeroAugmented()
-        if tok.text == "sign":
-            if field is FieldTag.QI:
+        family = _PLAIN_FAMILIES.get(tok.text)
+        if family is not None:
+            if isinstance(family, Sign) and field is FieldTag.QI:
                 self.fail(tok, "sign requires field Q")
-            return Sign()
+            return family
         if tok.text == "geometric":
             self.expect("(", "'('")
             ratio, rtok = self.rational()
@@ -243,12 +216,7 @@ class _Parser:
             if ratio == 1:
                 self.fail(rtok, "geometric ratio must not be 1")
             return Geometric(ratio)
-        self.fail(
-            tok,
-            f"unknown product family '{tok.text}'",
-            expected=("trivial", "zero_augmented", "geometric", "sign"),
-        )
-        raise AssertionError("unreachable")
+        self.fail(tok, f"unknown product family '{tok.text}'")
 
     def inner_product(self, dim: int) -> InnerProductSpec:
         tok = self.expect("ident", "an inner product kind")
@@ -270,12 +238,7 @@ class _Parser:
                     f"weight count {len(weights)} does not match dimension {dim}",
                 )
             return WeightedDot(tuple(w for w, _ in weights))
-        self.fail(
-            tok,
-            f"unknown inner product '{tok.text}'",
-            expected=("dot", "weighted_dot"),
-        )
-        raise AssertionError("unreachable")
+        self.fail(tok, f"unknown inner product '{tok.text}'")
 
     def rational(self) -> tuple[Fraction, _Token]:
         num, num_tok = self.integer("a rational number")
@@ -293,20 +256,12 @@ class _Parser:
         self.expect_word("check")
         suite_tok = self.expect("ident", "a suite name")
         if suite_tok.text not in SUITE_NAMES:
-            self.fail(
-                suite_tok,
-                f"unknown suite '{suite_tok.text}'",
-                expected=SUITE_NAMES,
-            )
+            self.fail(suite_tok, f"unknown suite '{suite_tok.text}'")
         params: dict[str, int] = {}
         while self.peek().kind == "ident" and self.peek(1).kind == "=":
             key_tok = self.advance()
             if key_tok.text not in _PARAM_KEYS:
-                self.fail(
-                    key_tok,
-                    f"unknown parameter '{key_tok.text}'",
-                    expected=_PARAM_KEYS,
-                )
+                self.fail(key_tok, f"unknown parameter '{key_tok.text}'")
             if key_tok.text in params:
                 self.fail(key_tok, f"duplicate parameter '{key_tok.text}'")
             self.advance()  # '='

@@ -140,9 +140,6 @@ def norm_sq(ip: InnerProductSpec, x: Vector) -> Fraction:
 class SupResult(Value):
     __slots__ = _fields = ("value", "attained", "witness")
 
-    def __init__(self, value: Fraction, attained: bool, witness: Vector | None):
-        self.value, self.attained, self.witness = value, attained, witness
-
 
 def _sup(s: HyperSet, f: Callable[[Vector], Fraction], exponent: str) -> SupResult:
     """sup of f(u) over u in s, exactly, with f evaluated once per element.

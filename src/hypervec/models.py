@@ -403,20 +403,23 @@ _WVS_ITEMS = (
 )
 
 
-def _classical_sum_meets(whole: HyperSet, s1: HyperSet, u: Vector, s2: HyperSet, v: Vector):
-    """Prove that whole meets the sumset s1 + s2 by the classical sum u + v.
+def _classical_sum_meets(
+    whole: HyperSet, s1: HyperSet, u: Vector, s2: HyperSet, v: Vector, total: Vector
+):
+    """Prove that whole meets the sumset s1 + s2 by the classical sum
+    total = u + v.
 
     u and v are the classical values a*x and a*y (or b*x) of s1 and s2.
-    When u lies in s1, v in s2 and u + v in whole, that sum is a common
+    When u lies in s1, v in s2 and total in whole, that sum is a common
     element, so the law holds on this tuple. Every family puts the
     classical value a*x in a o x, so a miss cannot happen for them; it
     would prove no violation either, so it raises ModelError instead of
     reporting fail.
     """
-    if contains(s1, u) and contains(s2, v) and contains(whole, u + v):
+    if contains(s1, u) and contains(s2, v) and contains(whole, total):
         return
     raise ModelError(
-        f"the classical sum {u + v} does not decide whether {whole} meets "
+        f"the classical sum {total} does not decide whether {whole} meets "
         f"{s1} + {s2}: the product omits a classical value"
     )
 
@@ -505,9 +508,9 @@ def _sum_laws(model: ModelSpec, ip, suites: tuple[str, ...]):
         a_xy, ab_x = ax + ay, ax + bx
         if wvs:
             a_o_x, b_o_x = apply(ax, zero), apply(bx, zero)
-            _classical_sum_meets(apply(a_xy, zero), a_o_x, ax, apply(ay, zero), ay)
+            _classical_sum_meets(apply(a_xy, zero), a_o_x, ax, apply(ay, zero), ay, a_xy)
             yield ("wvs_axioms", "right_distributive"), False
-            _classical_sum_meets(apply(ab_x, zero), a_o_x, ax, b_o_x, bx)
+            _classical_sum_meets(apply(ab_x, zero), a_o_x, ax, b_o_x, bx, ab_x)
             yield ("wvs_axioms", "left_distributive"), False
 
             swept = product_of_set(model, a, b_o_x)

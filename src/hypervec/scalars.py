@@ -219,9 +219,6 @@ def invert(a: int | Scalar) -> Scalar:
     a = _as_scalar(a)
     if a == 0:
         raise ZeroDivisionError("0 has no multiplicative inverse")
-    if isinstance(a, GaussianRational):
-        # d*(a - b*i)/(a^2 + b^2)
-        return _reduced(a.d * a.a, -a.d * a.b, a.a * a.a + a.b * a.b)
     return 1 / a
 
 

@@ -242,6 +242,17 @@ def test_catalog_verdicts_match_documented_table(default_catalog):
         assert got == EXPECTED_VERDICTS[name], name
 
 
+def test_catalog_names_are_the_family_words():
+    from hypervec.catalog import catalog_models
+
+    models = catalog_models()
+    names = [name for name, _ in models]
+    assert names == [str(model.family) for _, model in models] == list(EXPECTED_VERDICTS)
+    for name, model in models:
+        text = f'model "m" {{ field Q dim 2 product {name} }}'
+        assert parse_model_file(text).model == model
+
+
 def test_runtime_budget(default_catalog):
     # the stated budget is 60s per suite; a whole model's ten suites
     # finishing inside one budget is comfortably stronger

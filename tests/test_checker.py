@@ -38,7 +38,7 @@ from hypervec.checker import (
 from hypervec import checker, essential, inner, models
 from hypervec.cli import main
 from hypervec.essential import check_lemma_basic, check_strong_normal, essential_points
-from hypervec.inner import DotProduct, check_hip_axioms
+from hypervec.inner import DotProduct, SupResult, check_hip_axioms
 from hypervec.models import (
     Geometric,
     ModelSpec,
@@ -438,6 +438,18 @@ class TestReports:
         for value in (CheckItem("a", "x", "pass", 1, ()), CheckReport("m", "s", ())):
             with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
                 hash(value)
+
+    @pytest.mark.parametrize(
+        "cls, values",
+        [(CheckItem, ("a",)), (SupResult, (1, True, None, 4))],
+        ids=["too_few", "too_many"],
+    )
+    def test_a_wrong_field_count_names_the_class(self, cls, values):
+        # neither class defines __init__: Value's sets the fields in order
+        assert "__init__" not in vars(cls)
+        message = rf"^{cls.__name__}\(\) takes {len(cls._fields)} fields, got {len(values)}$"
+        with pytest.raises(TypeError, match=message):
+            cls(*values)
 
     def test_item_lookup(self):
         rep = CheckReport("m", "s", [CheckItem("a", "x", "pass", 1, [])])

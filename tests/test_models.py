@@ -342,7 +342,7 @@ class TestAxiomSuite:
 
         # the same bytes as requiring a common element from a search over
         # the built depth-bounded sumset on every tuple
-        def bounded_search(whole, s1, u, s2, v):
+        def bounded_search(whole, s1, u, s2, v, total):
             assert intersect_nonempty(whole, sumset(s1, s2, 12), 12) is not None
 
         monkeypatch.setattr(models, "_classical_sum_meets", bounded_search)
@@ -382,6 +382,15 @@ class TestAxiomSuite:
         reports = run_suites(mk(Trivial()), None, cfg, suites)
         assert all(report.all_passed for report in reports)
         assert len(calls) == 7 * cfg.samples
+
+    def test_sum_pass_adds_each_classical_sum_once(self, monkeypatch):
+        # a*x + a*y and a*x + b*x; the distributive laws read them as given
+        calls = []
+        add = Vector.__add__
+        monkeypatch.setattr(Vector, "__add__", lambda *args: calls.append(args) or add(*args))
+        cfg = SampleConfig(samples=50)
+        assert check_wvs_axioms(mk(Trivial()), cfg).all_passed
+        assert len(calls) == 2 * cfg.samples
 
 
 class TestNegationImageProperty:

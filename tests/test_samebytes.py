@@ -45,6 +45,24 @@ def test_a_changed_message_is_a_difference(tmp_path):
     assert samebytes.compare(_ROOT, changed, CASES) == [("v01_minimal.hvs --seed 42", ["stdout"])]
 
 
+def test_the_other_subcommands_give_the_same_bytes(tmp_path):
+    cases = samebytes.command_cases(_ROOT)
+    assert {command for _, _, command in cases} == {"catalog", "essential", "sup"}
+    assert samebytes.compare(_ROOT, tree_copy(tmp_path), cases) == []
+
+
+def test_a_changed_catalog_note_is_a_difference(tmp_path):
+    changed = tree_copy(tmp_path)
+    catalog = os.path.join(changed, "src", "hypervec", "catalog.py")
+    with open(catalog, encoding="utf-8") as fh:
+        text = fh.read()
+    assert "every suite passes" in text
+    with open(catalog, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("every suite passes", "all suites pass"))
+    cases = [(None, (), "catalog")]
+    assert samebytes.compare(_ROOT, changed, cases) == [("catalog", ["stdout"])]
+
+
 def test_a_path_without_the_package_is_a_usage_error(tmp_path, capsys):
     for argv in ([str(tmp_path), _ROOT], [_ROOT, str(tmp_path)], [_ROOT], []):
         assert samebytes.main(argv) == 2

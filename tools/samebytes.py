@@ -1,4 +1,4 @@
-"""Same bytes: `hypervec check` of a parent checkout against a change checkout.
+"""Same bytes: `hypervec` runs of a parent checkout against a change checkout.
 
 Usage (any working directory):
 
@@ -15,6 +15,10 @@ working directory:
   `--seed 7`;
 * each case of FLAG_CASES on the first catalog workload file and on
   tests/corpus/valid/v01_minimal.hvs.
+
+Each case of COMMAND_CASES runs another subcommand the same way,
+`python -m hypervec COMMAND [FILE] FLAGS`, its FILE in the change's
+tests/corpus/valid.
 
 A run is identical when the two trees give the same stdout, stderr, JSON
 report bytes (or both write none) and exit code. The tool prints each
@@ -48,16 +52,34 @@ FLAG_CASES = (
     ("--samples", "7", "--depth", "0"),
     ("--samples", "7", "--seed", "7", "--depth", "3"),
 )
+# the other subcommands: (file or None, flags, command). The sup runs
+# are attained, not attained and unbounded; the last essential run
+# exits 2 on a vector of the wrong dimension.
+COMMAND_CASES = (
+    (None, (), "catalog"),
+    ("v05_sign.hvs", ("--a", "3", "--x", "(1, 2)"), "essential"),
+    ("v05_sign.hvs", ("--a", "0", "--x", "(1, 2)"), "essential"),
+    ("v11_qi_inner.hvs", ("--a", "1+i", "--x", "(1, i)"), "essential"),
+    ("v03_geometric_fraction.hvs", ("--a", "1", "--x", "(1)", "--y", "(-1)"), "sup"),
+    ("v04_geometric_integer.hvs", ("--a", "1", "--x", "(1, 0)", "--y", "(1, 0)"), "sup"),
+    ("v06_weighted.hvs", ("--a", "2", "--x", "(1, 2, 3)", "--y", "(1, 0, 1)"), "sup"),
+    ("v05_sign.hvs", ("--a", "3", "--x", "(1, 2, 3)"), "essential"),
+)
 USAGE = "usage: python3 tools/samebytes.py PARENT CHANGE"
 
 
-def run_check(tree: str, path: str, flags: tuple[str, ...], workdir: str) -> dict:
+def run(tree: str, path: str | None, flags: tuple[str, ...], workdir: str, command="check") -> dict:
     """stdout, stderr, JSON report (None when none is written) and exit
-    code of one check run of tree's package, from workdir."""
+    code of one run of tree's package, from workdir: a check run writes
+    its JSON report, another command is given no path when path is None."""
     out = os.path.join(workdir, "report.json")
     env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    argv = [sys.executable, "-m", "hypervec", "check", path, "--json", out, *flags]
-    proc = subprocess.run(argv, cwd=workdir, env=env, capture_output=True)
+    argv = [sys.executable, "-m", "hypervec", command]
+    if path is not None:
+        argv.append(path)
+    if command == "check":
+        argv += ["--json", out]
+    proc = subprocess.run([*argv, *flags], cwd=workdir, env=env, capture_output=True)
     try:
         with open(out, "rb") as fh:
             report = fh.read()
@@ -68,21 +90,33 @@ def run_check(tree: str, path: str, flags: tuple[str, ...], workdir: str) -> dic
 
 
 def compare(parent: str, change: str, cases) -> list[tuple[str, list[str]]]:
-    """The runs of cases, (path, flags) pairs, whose results differ
-    between the trees: (file name and flags, the parts that differ)."""
+    """The runs of cases whose results differ between the trees: (label,
+    the parts that differ), the label being the command unless it is
+    check, the file name and the flags. A case is (path, flags), run by
+    check, or (path, flags, command)."""
     differ = []
     with tempfile.TemporaryDirectory() as workdir:
-        for path, flags in cases:
-            old = run_check(parent, path, flags, workdir)
-            new = run_check(change, path, flags, workdir)
+        for path, flags, *command in cases:
+            old = run(parent, path, flags, workdir, *command)
+            new = run(change, path, flags, workdir, *command)
             parts = [part for part in old if old[part] != new[part]]
             if parts:
-                differ.append((" ".join((os.path.basename(path), *flags)), parts))
+                named = () if path is None else (os.path.basename(path),)
+                differ.append((" ".join((*command, *named, *flags)), parts))
     return differ
 
 
-def check_cases(tree: str, dest: str) -> list[tuple[str, tuple[str, ...]]]:
-    """Every (path, flags) run, with tree's workload files written into dest."""
+def command_cases(tree: str) -> list[tuple[str | None, tuple[str, ...], str]]:
+    """COMMAND_CASES, each file a path into tree's tests/corpus/valid."""
+    valid = os.path.join(tree, "tests", "corpus", "valid")
+    return [
+        (name and os.path.join(valid, name), flags, command)
+        for name, flags, command in COMMAND_CASES
+    ]
+
+
+def check_cases(tree: str, dest: str) -> list[tuple]:
+    """Every run, with tree's workload files written into dest."""
     spec = importlib.util.spec_from_file_location(
         "workloads", os.path.join(tree, "bench", "workloads.py")
     )
@@ -103,9 +137,11 @@ def check_cases(tree: str, dest: str) -> list[tuple[str, tuple[str, ...]]]:
         if name.endswith(".hvs")
     ]
     flagged = (generated["catalog"][0], os.path.join(corpus, "valid", "v01_minimal.hvs"))
-    return [(path, ("--seed", seed)) for path in files for seed in SEEDS] + [
-        (path, flags) for path in flagged for flags in FLAG_CASES
-    ]
+    return (
+        [(path, ("--seed", seed)) for path in files for seed in SEEDS]
+        + [(path, flags) for path in flagged for flags in FLAG_CASES]
+        + command_cases(tree)
+    )
 
 
 def main(argv: list[str]) -> int:
