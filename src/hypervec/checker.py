@@ -4,7 +4,10 @@ All verdicts are computed in exact arithmetic; the only randomness is a
 seeded SplitMix64 stream used to pick sample tuples, so two runs with
 the same config produce byte-identical reports on any platform.
 
-sample_stream is the one function that draws. SUITES declares the
+sample_stream is the one function that draws. It draws the SplitMix64
+tail a block at a time: one big-int pass over 128-bit lanes gives every
+output of a block (_splitmix_block), bit for bit the outputs that
+SplitMix64 gives one at a time, on any byte order. SUITES declares the
 stream each suite reads (config, field, dimension and its arity, the
 count of scalars and vectors per tuple) and that stream's one law
 builder, and run_pass reads one stream in one loop, evaluating on each
@@ -34,12 +37,13 @@ from __future__ import annotations
 import importlib
 import itertools
 import json
+import struct
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .scalars import FieldTag, GaussianRational, Scalar
+from .scalars import FieldTag, GaussianRational, Scalar, _reduced
 from .vectors import Vector, lattice_vector, unit_vector, zero_vector
 
 _MASK64 = (1 << 64) - 1
@@ -149,6 +153,50 @@ class SplitMix64:
         if bound <= 0:
             raise ValueError("bound must be positive")
         return self.next_u64() % bound
+
+
+# sample_stream draws the outputs of _CHUNK tuples in one block, or of
+# as many whole tuples as fit in _BLOCK outputs (one at least): a bound
+# on outputs keeps each block's ints small at any dimension
+_BLOCK = 4096
+
+
+def _pack(words: list[int]) -> int:
+    """The int whose 64-bit words, least significant first, are words."""
+    return int.from_bytes(struct.pack(f"<{len(words)}Q", *words), "little")
+
+
+def _unpack(z: int, n: int) -> tuple[int, ...]:
+    """The n 64-bit words of z, least significant first; _pack's inverse."""
+    return struct.unpack(f"<{n}Q", z.to_bytes(8 * n, "little"))
+
+
+@lru_cache(maxsize=8)
+def _lanes(n: int) -> tuple[int, int, int]:
+    """(ones, steps, mask) for a block of n outputs, one 128-bit lane
+    each: 1, (k + 1)*_GAMMA mod 2^64 and 2^64 - 1 in lane k."""
+    words = [0] * (2 * n)
+    words[0::2] = [k * _GAMMA & _MASK64 for k in range(1, n + 1)]
+    ones = _pack([1, 0] * n)
+    return ones, _pack(words), ones * _MASK64
+
+
+def _splitmix_block(state: int, n: int) -> tuple[tuple[int, ...], int]:
+    """The next n outputs of SplitMix64 from state, and the state after them.
+
+    The k-th state is state + k*_GAMMA mod 2^64, so every state of the
+    block sits in its own 128-bit lane of one int, and each round runs
+    once for the whole block: masking the lanes before each multiply
+    keeps every 64 x 64-bit product in its lane. The lanes are packed
+    little-endian, so the outputs equal SplitMix64.next_u64's, drawn one
+    at a time, on any host.
+    """
+    ones, steps, mask = _lanes(n)
+    z = (state * ones + steps) & mask
+    z = ((z ^ ((z >> 30) & mask)) * _MIX1) & mask
+    z = ((z ^ ((z >> 27) & mask)) * _MIX2) & mask
+    z ^= (z >> 31) & mask
+    return _unpack(z, 2 * n)[0::2], (state + n * _GAMMA) & _MASK64
 
 
 class Value:
@@ -383,7 +431,9 @@ def sample_stream(
     ratio num/den from two outputs of one generator seeded with
     cfg.seed: SplitMix64.below(2*height + 1) - height, then
     SplitMix64.below(height) + 1, so denominators are never zero. A Qi
-    coordinate draws its real part, then its imaginary part.
+    coordinate draws its real part, then its imaginary part. The tail
+    is drawn in blocks of whole tuples, at most _BLOCK outputs each
+    (_splitmix_block), equal to SplitMix64 drawn one output at a time.
     """
     count = 0
     slots = [forced_scalars(field)] * n_scalars + [forced_vectors(field, dim)] * n_vectors
@@ -394,45 +444,47 @@ def sample_stream(
             yield sample
     parts = 1 if field is FieldTag.Q else 2  # real, imaginary
     widths = [parts] * n_scalars + [parts * dim] * n_vectors
+    per_tuple = 2 * sum(widths)  # outputs: a numerator and a denominator each
+    per_block = max(1, min(_CHUNK, _BLOCK // max(1, per_tuple)))  # whole tuples
     height, span = cfg.height, 2 * cfg.height + 1
     state = cfg.seed
     while count < cfg.samples:
-        row = []
-        for i, width in enumerate(widths):
-            nums, dens = [], []
-            for _ in range(width):  # SplitMix64.below, inlined
-                state = (state + _GAMMA) & _MASK64
-                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-                nums.append((z ^ (z >> 31)) % span - height)
-                state = (state + _GAMMA) & _MASK64
-                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-                dens.append((z ^ (z >> 31)) % height + 1)
-            if i >= n_scalars:  # a vector, on ints over the lcm of its denominators
-                den = lcm(*dens)
-                scaled = tuple(p * (den // q) for p, q in zip(nums, dens))
-                if parts == 1:
-                    row.append(lattice_vector(scaled, None, den))
-                else:
-                    row.append(lattice_vector(scaled[0::2], scaled[1::2], den))
-            elif parts == 1:
-                row.append(Fraction(nums[0], dens[0]))
-            else:
-                row.append(
-                    GaussianRational(Fraction(nums[0], dens[0]), Fraction(nums[1], dens[1]))
-                )
-        yield tuple(row)
-        count += 1
+        n = min(per_block, cfg.samples - count)
+        outputs, state = _splitmix_block(state, n * per_tuple)
+        nums = [z % span - height for z in outputs[0::2]]
+        dens = [z % height + 1 for z in outputs[1::2]]
+        at = 0
+        for _ in range(n):
+            row = []
+            for i, width in enumerate(widths):
+                ns, ds = nums[at : at + width], dens[at : at + width]
+                at += width
+                if i >= n_scalars:  # a vector, on ints over the lcm of its denominators
+                    den = lcm(*ds)
+                    scaled = [p * (den // q) for p, q in zip(ns, ds)]
+                    if parts == 1:
+                        row.append(lattice_vector(tuple(scaled), None, den))
+                    else:
+                        row.append(lattice_vector(tuple(scaled[0::2]), tuple(scaled[1::2]), den))
+                elif parts == 1:
+                    row.append(Fraction(ns[0], ds[0]))
+                else:  # n0/d0 + (n1/d1)*i, reduced once
+                    (n0, n1), (d0, d1) = ns, ds
+                    row.append(_reduced(n0 * d1, n1 * d0, d0 * d1))
+            yield tuple(row)
+        count += n
 
 
 # The memo entry holding the (suite, config) of every report a run plans.
 _PLAN = "planned reports"
 
-# run_pass draws this many tuples at a time. Drawing a chunk and then
-# evaluating it runs about 10% faster than alternating one draw with
-# one evaluation (measured on the rays workload, CPython 3.11), and
-# memory stays bounded by the chunk whatever the sample count.
+# run_pass takes this many tuples at a time from the stream. Taking a
+# chunk and then evaluating it runs about 10% faster than alternating
+# one draw with one evaluation (measured on the rays workload, CPython
+# 3.11), and memory stays bounded by the chunk whatever the sample
+# count. sample_stream draws one chunk's outputs in one block unless
+# they pass _BLOCK: at dim 4 or less they never do, at dim 64 one chunk
+# spans several blocks.
 _CHUNK = 64
 
 

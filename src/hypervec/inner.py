@@ -109,19 +109,19 @@ def pairing(ip: InnerProductSpec, x: Vector, y: Vector) -> Scalar:
     Summed on the vectors' integer numerators over the product of the
     denominators, and reduced once at the end.
     """
-    if x.dim != y.dim:
-        raise ModelError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    den = x.den * y.den
     p, q = x.nums, x.ims
-    if isinstance(ip, WeightedDot):
-        if len(ip.weights) != x.dim:
+    r, s = y.nums, y.ims
+    if len(p) != len(r):
+        raise ModelError(f"dimension mismatch: {len(p)} vs {len(r)}")
+    den = x.den * y.den
+    if ip.__class__ is WeightedDot:
+        if len(ip.nums) != len(p):
             raise ModelError(
-                f"weight count {len(ip.weights)} does not match dimension {x.dim}"
+                f"weight count {len(ip.weights)} does not match dimension {len(p)}"
             )
         den *= ip.den
         p = tuple(map(mul, ip.nums, p))
         q = None if q is None else tuple(map(mul, ip.nums, q))
-    r, s = y.nums, y.ims
     if q is None and s is None:
         return Fraction(sum(map(mul, p, r)), den)
     zeros = (0,) * len(p)

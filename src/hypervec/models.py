@@ -95,7 +95,9 @@ HyperSet = Union[FiniteSet, GeometricRay]
 def _validate_ratio(ratio: Fraction):
     if not isinstance(ratio, Fraction):
         raise ModelError("ratio must be a Fraction")
-    if ratio <= 0 or ratio == 1:
+    # on the ints: comparing a Fraction with an int checks it against
+    # numbers.Rational's ABC, and every ray built checks its ratio
+    if ratio.numerator <= 0 or ratio.numerator == ratio.denominator:
         raise ModelError(f"ratio must be positive and != 1, got {ratio}")
 
 

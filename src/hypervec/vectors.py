@@ -3,9 +3,11 @@
 A vector is held in lattice form: a tuple of integer numerators over one
 positive denominator, plus, over Q[i], a second tuple of imaginary
 numerators. Arithmetic, equality, hashing and sorting work on the ints
-and reduce each result with one `math.gcd`. `Fraction` and
-`GaussianRational` appear only at the boundary: the `Vector(coords)`
-constructor, `coords`, `vector_key` and the text forms.
+and reduce each result with one `math.gcd`; the hot constructors build
+each tuple from a list comprehension, which CPython runs faster than a
+generator expression. `Fraction` and `GaussianRational` appear only at
+the boundary: the `Vector(coords)` constructor, `coords`, `vector_key`
+and the text forms.
 
 Text form: "(p/q, p/q, ...)". One coordinate minimum; dimension is fixed
 per model and enforced where vectors meet model operations.
@@ -89,8 +91,8 @@ class Vector:
     def __neg__(self):
         ims = self.ims
         return _canonical(
-            tuple(-n for n in self.nums),
-            None if ims is None else tuple(-m for m in ims),
+            tuple([-n for n in self.nums]),
+            None if ims is None else tuple([-m for m in ims]),
             self.den,
         )
 
@@ -102,14 +104,14 @@ class Vector:
             c, e, f = a.a, a.b, a.d
             ims = ims or (0,) * len(nums)
             return lattice_vector(
-                tuple(n * c - m * e for n, m in zip(nums, ims)),
-                tuple(n * e + m * c for n, m in zip(nums, ims)),
+                tuple([n * c - m * e for n, m in zip(nums, ims)]),
+                tuple([n * e + m * c for n, m in zip(nums, ims)]),
                 self.den * f,
             )
         p = a.numerator
         return lattice_vector(
-            tuple(n * p for n in nums),
-            None if ims is None else tuple(m * p for m in ims),
+            tuple([n * p for n in nums]),
+            None if ims is None else tuple([m * p for m in ims]),
             self.den * a.denominator,
         )
 
@@ -144,8 +146,8 @@ def lattice_vector(nums: tuple[int, ...], ims: tuple[int, ...] | None, den: int)
     ims None over Q."""
     g = gcd(den, *nums) if ims is None else gcd(den, *nums, *ims)
     if g != 1:
-        nums = tuple(n // g for n in nums)
-        ims = None if ims is None else tuple(m // g for m in ims)
+        nums = tuple([n // g for n in nums])
+        ims = None if ims is None else tuple([m // g for m in ims])
         den //= g
     return _canonical(nums, ims, den)
 
@@ -157,12 +159,12 @@ def _combine(x: Vector, y: Vector, sign: int) -> Vector:
     d, e = x.den, y.den
     g = gcd(d, e)
     s, t = e // g, sign * (d // g)
-    nums = tuple(a * s + b * t for a, b in zip(x.nums, y.nums))
+    nums = tuple([a * s + b * t for a, b in zip(x.nums, y.nums)])
     if x.ims is None and y.ims is None:
         ims = None
     else:
         zeros = (0,) * len(nums)
-        ims = tuple(a * s + b * t for a, b in zip(x.ims or zeros, y.ims or zeros))
+        ims = tuple([a * s + b * t for a, b in zip(x.ims or zeros, y.ims or zeros)])
     return lattice_vector(nums, ims, d * s)
 
 
@@ -195,9 +197,9 @@ def _int_key(v: Vector, scale: int, gaussian: bool) -> tuple[int, ...]:
     """The numerators of v times scale, real and imaginary parts
     interleaved when gaussian."""
     if not gaussian:
-        return tuple(n * scale for n in v.nums)
+        return tuple([n * scale for n in v.nums])
     ims = v.ims or (0,) * len(v.nums)
-    return tuple(k * scale for pair in zip(v.nums, ims) for k in pair)
+    return tuple([k * scale for pair in zip(v.nums, ims) for k in pair])
 
 
 def sorted_vectors(vectors: Iterable[Vector]) -> tuple[Vector, ...]:

@@ -53,3 +53,34 @@ def test_summary_counts_wins_in_each_metrics_direction():
 )
 def test_verdict_reads_each_metric_against_its_bound(parent, change, better, expected):
     assert abpairs.verdict(parent, change, better, 0.25) == expected
+
+
+@pytest.mark.parametrize(
+    "flags, seeds", [([], [42, 43, 44]), (["--first-seed", "1000"], [1000, 1001, 1002])]
+)
+def test_pairs_take_consecutive_seeds_from_the_first(flags, seeds, tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}'
+    )
+    runs = []
+
+    def run_bench(tree, workload, seed, seconds):
+        runs.append((tree, seed))
+        return {"wall_s": 1.0}
+
+    monkeypatch.setattr(abpairs, "run_bench", run_bench)
+    assert abpairs.main(["p", str(tmp_path), "--workload", "gaussian", "--pairs", "3", *flags]) == 0
+    capsys.readouterr()
+    # the parent runs first in the first pair, second in the next
+    assert runs == [
+        ("p", seeds[0]), (str(tmp_path), seeds[0]),
+        (str(tmp_path), seeds[1]), ("p", seeds[1]),
+        ("p", seeds[2]), (str(tmp_path), seeds[2]),
+    ]
+
+
+def test_a_negative_first_seed_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        abpairs.main(["p", "c", "--workload", "gaussian", "--first-seed", "-1"])
+    assert exit_.value.code == 2
+    assert "--first-seed" in capsys.readouterr().err

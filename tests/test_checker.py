@@ -83,6 +83,31 @@ class TestSplitMix64:
         assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
 
 
+class TestSplitMixBlock:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(0, (1 << 64) - 1),
+            st.integers((1 << 64) - (1 << 16), (1 << 64) - 1),  # the state wraps
+        ),
+        st.integers(0, 3 * checker._BLOCK),
+    )
+    def test_block_is_splitmix64_one_output_at_a_time(self, seed, n):
+        rng = SplitMix64(seed)
+        outputs, state = checker._splitmix_block(seed, n)
+        assert list(outputs) == [rng.next_u64() for _ in range(n)]
+        assert state == rng._state
+        # the lanes, packed and read back, against pure ints
+        z = checker._pack(list(outputs))
+        assert z == sum(w << 64 * i for i, w in enumerate(outputs))
+        assert checker._unpack(z, n) == outputs
+        ones, steps, mask = checker._lanes(n)
+        assert ones == sum(1 << 128 * k for k in range(n))
+        assert mask == sum(((1 << 64) - 1) << 128 * k for k in range(n))
+        gamma = 0x9E3779B97F4A7C15
+        assert steps == sum(((k + 1) * gamma % (1 << 64)) << 128 * k for k in range(n))
+
+
 class TestSampleConfig:
     def test_defaults(self):
         cfg = SampleConfig()
@@ -194,7 +219,8 @@ class TestSampleStreamMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from([FieldTag.Q, FieldTag.QI]),
-        st.integers(1, 4),
+        # at dim 64 one chunk of tuples spans several blocks of the draw
+        st.sampled_from([1, 2, 3, 4, 64]),
         st.integers(0, 3),
         st.integers(0, 3),
         st.integers(0, (1 << 64) - 1),

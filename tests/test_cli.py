@@ -366,6 +366,21 @@ class TestCheckSharesReports:
         peak(200)  # the first run also allocates what every run reuses
         assert peak(2000) - peak(200) < 200_000
 
+    def test_memory_stays_flat_at_dim_64(self, hvs, capsys):
+        # a (1, 3) tuple at dim 64 over Q[i] takes 772 outputs: the draw
+        # bounds each block by outputs, not by tuples, so a block holds a
+        # few tuples' ints (a block of 64 whole tuples peaks above 10 MB)
+        path = hvs('model "m" { field Qi dim 64 product zero_augmented inner dot }\ncheck hip\n')
+        tracemalloc.start()
+        try:
+            code = main(["check", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+        assert code == 0
+        assert peak < 4_000_000
+
     @pytest.mark.parametrize("family", ["trivial", "sign"])
     def test_full_run_matches_golden_report(self, family, hvs, tmp_path, capsys):
         out = tmp_path / "r.json"

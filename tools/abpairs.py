@@ -3,12 +3,15 @@
 Usage (any working directory):
 
     python3 tools/abpairs.py PARENT CHANGE --workload rays [--pairs 5] [--seconds 36]
+        [--first-seed 42]
 
 PARENT and CHANGE are two checkouts of this repository. Each pair runs
 each tree's own `bench/run.py --workload W --seed S --seconds T --trace 0`
-once. Pair i (counted from 0) uses seed 42 + i; the parent runs first in
-the 1st, 3rd, 5th ... pair and second in the others, so a drift of the
-host's speed falls on both sides alike. The runs write only what
+once. Pair i (counted from 0) uses seed F + i, F being --first-seed (42
+by default; another F checks a claim on seeds not used while writing
+the change). The parent runs first in the 1st, 3rd, 5th ... pair and
+second in the others, so a drift of the host's speed falls on both
+sides alike. The runs write only what
 bench/run.py writes, in each tree's own .bench_out/.
 
 For every end-to-end metric of the change's BENCHMARK.json it prints the
@@ -27,8 +30,6 @@ import os
 import statistics
 import subprocess
 import sys
-
-FIRST_SEED = 42
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -121,16 +122,19 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--seconds", type=float, default=36)
+    ap.add_argument("--first-seed", type=int, default=42)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be positive")
+    if args.first_seed < 0:
+        ap.error("--first-seed must not be negative")
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
     better = {m["name"]: m["better"] for m in metrics}
 
     pairs = []
     for i in range(args.pairs):
-        seed = FIRST_SEED + i
+        seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         runs = {}
         for side in order:
