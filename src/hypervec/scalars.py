@@ -53,13 +53,10 @@ class GaussianRational:
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         p, q = re.numerator, re.denominator
         r, s = im.numerator, im.denominator
-        if q == s:
-            self.a, self.b, self.d = p, r, q
-        else:
-            # p/q and r/s are in lowest terms, so over lcm(q, s) the
-            # triple is already coprime
-            g = gcd(q, s)
-            self.a, self.b, self.d = p * (s // g), r * (q // g), q * (s // g)
+        # p/q and r/s are in lowest terms, so over lcm(q, s) the triple
+        # is already coprime
+        g = gcd(q, s)
+        self.a, self.b, self.d = p * (s // g), r * (q // g), q * (s // g)
 
     @property
     def re(self) -> Fraction:
@@ -75,8 +72,6 @@ class GaussianRational:
             return NotImplemented
         a, b, d = self.a, self.b, self.d
         c, e, f = o
-        if d == f:
-            return _reduced(a + c, b + e, d)
         return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
@@ -85,11 +80,8 @@ class GaussianRational:
         o = _parts(other)
         if o is None:
             return NotImplemented
-        a, b, d = self.a, self.b, self.d
         c, e, f = o
-        if d == f:
-            return _reduced(a - c, b - e, d)
-        return _reduced(a * f - c * d, b * f - e * d, d * f)
+        return self + _canonical(-c, -e, f)
 
     def __rsub__(self, other):
         o = _parts(other)

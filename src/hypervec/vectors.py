@@ -179,11 +179,10 @@ def zero_vector(field: FieldTag, dim: int) -> Vector:
     return _canonical(zeros, None if field is FieldTag.Q else zeros, 1)
 
 
-def unit_vector(field: FieldTag, dim: int, axis: int = 0) -> Vector:
-    if not 0 <= axis < dim:
-        raise ValueError(f"axis {axis} out of range for dim {dim}")
-    nums = tuple(int(i == axis) for i in range(dim))
-    return _canonical(nums, None if field is FieldTag.Q else (0,) * dim, 1)
+def unit_vector(field: FieldTag, dim: int) -> Vector:
+    """e1 = (1, 0, ..., 0) of field^dim; ValueError when dim < 1."""
+    zero = zero_vector(field, dim)
+    return _canonical((1,) + zero.nums[1:], zero.ims, 1)
 
 
 def vector_key(v: Vector) -> tuple[tuple[Fraction, Fraction], ...]:

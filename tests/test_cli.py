@@ -451,6 +451,11 @@ class TestEssentialCommand:
         assert main(["essential", path, "--a", "3/0", "--x", "(1,0)"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_hostile_gaussian_scalar_exits_two(self, capsys):
+        path = str(CORPUS / "valid" / "v11_qi_inner.hvs")
+        assert main(["essential", path, "--a", "2i", "--x", "(1, i)"]) == 2
+        assert capsys.readouterr().err == "error: not a Gaussian rational: '2i'\n"
+
     def test_wrong_dim_exits_two(self, hvs, capsys):
         path = hvs('model "s" { field Q dim 2 product sign }')
         assert main(["essential", path, "--a", "1", "--x", "(1,0,0)"]) == 2

@@ -97,6 +97,7 @@ INVALID_EXPECTATIONS = {
     "i17_unicode_digit": (1, 25, "unexpected character '²'"),
     "i18_dim_over_cap": (1, 25, "dimension must be at most 64"),
     "i19_samples_over_cap": (2, 19, "samples must be at most 100000"),
+    "i20_unknown_inner": (1, 49, "unknown inner product 'cosine'"),
 }
 
 

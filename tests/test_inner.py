@@ -277,6 +277,13 @@ class TestBallViolation:
         assert _ball_violation(DOT, s, F(1, 2)) == qv(1, 0)
         assert _ball_violation(DOT, ray(qv(1, 0), F(1, 2)), F(1)) is None
 
+    def test_finite_set_gives_its_first_element_past_the_bound(self):
+        # held sorted as (0, 4), (1, 0), (3, 0), with (u, u) = 16, 1, 9
+        s = finite([qv(1, 0), qv(3, 0), qv(0, 4)])
+        assert _ball_violation(DOT, s, F(5)) == qv(0, 4)
+        assert _ball_violation(DOT, finite([qv(1, 0), qv(3, 0)]), F(5)) == qv(3, 0)
+        assert _ball_violation(DOT, s, F(16)) is None
+
     def test_huge_bound(self):
         start = time.perf_counter()
         u = _ball_violation(DOT, ray(qv(1, 0), F(2)), F(2) ** 40000)

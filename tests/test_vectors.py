@@ -35,12 +35,16 @@ def test_construction_and_accessors():
     assert not v.is_zero
     assert zero_vector(FieldTag.Q, 3).is_zero
     assert unit_vector(FieldTag.Q, 2).coords == (F(1), F(0))
-    assert unit_vector(FieldTag.Q, 2, axis=1).coords == (F(0), F(1))
 
 
 def test_empty_rejected():
     with pytest.raises(ValueError):
         Vector(())
+
+
+def test_unit_vector_needs_a_coordinate():
+    with pytest.raises(ValueError):
+        unit_vector(FieldTag.Q, 0)
 
 
 def test_field_mix_rejected():

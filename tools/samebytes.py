@@ -52,14 +52,18 @@ FLAG_CASES = (
     ("--samples", "7", "--depth", "0"),
     ("--samples", "7", "--seed", "7", "--depth", "3"),
 )
-# the other subcommands: (file or None, flags, command). The sup runs
-# are attained, not attained and unbounded; the last essential run
-# exits 2 on a vector of the wrong dimension.
+# the other subcommands: (file or None, flags, command). The Q[i]
+# essential runs take equal and unequal denominators and a scalar that
+# does not parse (exit 2); the sup runs are attained, not attained and
+# unbounded; the last essential run exits 2 on a vector of the wrong
+# dimension.
 COMMAND_CASES = (
     (None, (), "catalog"),
     ("v05_sign.hvs", ("--a", "3", "--x", "(1, 2)"), "essential"),
     ("v05_sign.hvs", ("--a", "0", "--x", "(1, 2)"), "essential"),
     ("v11_qi_inner.hvs", ("--a", "1+i", "--x", "(1, i)"), "essential"),
+    ("v11_qi_inner.hvs", ("--a", "1/2+1/3*i", "--x", "(1, i)"), "essential"),
+    ("v11_qi_inner.hvs", ("--a", "2i", "--x", "(1, i)"), "essential"),
     ("v03_geometric_fraction.hvs", ("--a", "1", "--x", "(1)", "--y", "(-1)"), "sup"),
     ("v04_geometric_integer.hvs", ("--a", "1", "--x", "(1, 0)", "--y", "(1, 0)"), "sup"),
     ("v06_weighted.hvs", ("--a", "2", "--x", "(1, 2, 3)", "--y", "(1, 0, 1)"), "sup"),
