@@ -14,11 +14,13 @@ builder, and run_pass reads one stream in one loop, evaluating on each
 tuple every planned suite that reads it through that builder. One
 scheduler sequences every suite (_run_suite): within one run_suites
 memo (one `hypervec check` run) the first suite that needs a stream
-runs that pass for every planned suite of the stream (plan_run), then
-each of those suites' finish steps, and keeps their reports. So each
-stream is drawn once, no stream or tally is kept, and nothing outlives
-the memo. A check function called on its own is a run of its one suite
-(run_one): it runs that suite on a fresh memo the same way.
+runs that pass for every planned suite of the stream, then each of
+those suites' finish steps, and keeps their reports. The memo is the
+plan too: a planned report (plan_run) is a memo entry that holds no
+report yet. So each stream is drawn once, no stream or tally is kept,
+and nothing outlives the memo. A check function called on its own is a
+run of its one suite (run_one): it runs that suite on a fresh memo the
+same way.
 
 Several items make one status by a single rule, roll_up: unbounded,
 else fail, else pass, and vacuous only when every item is vacuous. It
@@ -92,11 +94,14 @@ class Suite(NamedTuple):
         return getattr(module, getattr(self, field))
 
 
+# wvs_axioms and the two normality readings: one stream, one builder
+_SUM_SUITE = Suite("models", (), (2, 2), "_sum_laws")
+
 SUITES = {
-    "wvs_axioms": Suite("models", (), (2, 2), "_sum_laws"),
+    "wvs_axioms": _SUM_SUITE,
     "lemma_basic": Suite("essential", ("strong_normal",), (2, 1), "_lemma_basic_laws"),
-    "weak_normal": Suite("models", (), (2, 2), "_sum_laws"),
-    "strong_normal": Suite("models", (), (2, 2), "_sum_laws"),
+    "weak_normal": _SUM_SUITE,
+    "strong_normal": _SUM_SUITE,
     "normal_equiv": Suite("essential", ("weak_normal", "strong_normal"), finish="_equivalence"),
     "real_ip": Suite("inner", (), (1, 3), "_pairing_laws", rows="_REAL_IP_ITEMS"),
     "hip": Suite("inner", (), (1, 3), "_pairing_laws", rows="_HIP_ITEMS"),
@@ -243,12 +248,16 @@ class SampleConfig(Value):
     """Knobs for the deterministic sample stream.
 
     height bounds numerators in [-height, height] and denominators in
-    [1, height]; samples is at most MAX_SAMPLES.
+    [1, height]; samples is at most MAX_SAMPLES. Each is an int, never
+    a bool.
     """
 
     __slots__ = _fields = ("seed", "samples", "height")
 
     def __init__(self, seed: int = 42, samples: int = 500, height: int = 10):
+        for name, value in zip(self._fields, (seed, samples, height)):
+            if value.__class__ is not int:  # a bool is no count
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 <= seed <= _MASK64:
             raise ValueError("seed must fit in 64 bits")
         if not 1 <= samples <= MAX_SAMPLES:
@@ -475,9 +484,6 @@ def sample_stream(
         count += n
 
 
-# The memo entry holding the (suite, config) of every report a run plans.
-_PLAN = "planned reports"
-
 # run_pass takes this many tuples at a time from the stream. Taking a
 # chunk and then evaluating it runs about 10% faster than alternating
 # one draw with one evaluation (measured on the rays workload, CPython
@@ -520,22 +526,23 @@ def run_pass(
 
 
 def plan_run(memo: dict, model, ip, requests: Iterable[tuple[str, SampleConfig]]) -> None:
-    """Record in memo every report a run will compute: each requested
-    (suite, config) and, through SUITES' reads, every report it reads.
-    An inner suite without an inner product reads nothing.
+    """Plan in memo every report a run will compute: each requested
+    (suite, config) and, through SUITES' reads, every report it reads,
+    that memo holds no entry for. A planned report is an entry that
+    holds None until the report is computed. An inner suite without an
+    inner product reads nothing.
 
     A pass over a stream evaluates the planned suites that read it and
     nothing else, so a run that plans before its first suite runs reads
     each stream in one pass.
     """
-    planned = memo.setdefault(_PLAN, set())
     todo = list(requests)
     while todo:
         name, cfg = todo.pop()
         if name not in SUITES:
             raise ValueError(f"unknown suite: {name!r}")
-        if (name, cfg) not in planned:
-            planned.add((name, cfg))
+        if (name, cfg) not in memo:
+            memo[name, cfg] = None
             if ip is not None or SUITES[name].module != "inner":
                 todo += [(dep, cfg) for dep in SUITES[name].reads]
 
@@ -549,9 +556,9 @@ def run_suites(
     report of a run under its (suite, config), so one report per suite
     and config is computed however many suites read it; pass the same
     memo to the calls that belong to one run. The suites of the call are
-    added to the memo's plan (plan_run); plan the whole run first, as
-    the CLI does, and the one pass over each stream evaluates every
-    suite of the run that reads it.
+    planned in the memo (plan_run); plan the whole run first, as the CLI
+    does, and the one pass over each stream evaluates every suite of the
+    run that reads it.
 
     Suites whose precondition fails (complex field for real_ip, missing
     or failed hyperinner axioms for the derived suites) are reported
@@ -562,23 +569,29 @@ def run_suites(
     return [_run_suite(name, model, ip, cfg, memo) for name in suites]
 
 
-def run_one(suite: str, model, ip, cfg: SampleConfig, *reads: CheckReport) -> CheckReport:
+def run_one(
+    suite: str, model, ip, cfg: SampleConfig | None, *reads: CheckReport
+) -> CheckReport:
     """The report of suite run alone on a fresh memo, handed the reports
-    it reads, one per suite in its reads (see Suite)."""
+    it reads, one per suite in its reads (see Suite). cfg None is the
+    default config."""
+    cfg = cfg or SampleConfig()
     memo = {(dep, cfg): report for dep, report in zip(SUITES[suite].reads, reads)}
     return run_suites(model, ip, cfg, [suite], memo)[0]
 
 
 def _run_suite(name: str, model, ip, cfg: SampleConfig, memo: dict) -> CheckReport:
-    """The report of name at cfg, from memo or else computed into it.
+    """The report of name at cfg, from memo or else computed into it;
+    name is planned (plan_run).
 
     The reports name reads come first. Then one pass evaluates every
-    planned suite of name's (config, stream) that has no report yet, and
-    each of them is finished and kept, so no tally outlives the pass.
+    planned suite of name's (config, stream) whose memo entry holds no
+    report yet, and each of them is finished and kept, so no tally
+    outlives the pass.
     Without an inner product every row of an inner suite is vacuous, and
     nothing is read or drawn for it.
     """
-    if (name, cfg) in memo:
+    if memo[name, cfg] is not None:
         return memo[name, cfg]
     spec, desc = SUITES[name], model.describe()
     if spec.module == "inner" and ip is None:
@@ -588,7 +601,7 @@ def _run_suite(name: str, model, ip, cfg: SampleConfig, memo: dict) -> CheckRepo
     group = {
         suite: other
         for suite, other in SUITES.items()
-        if other.stream == spec.stream and (suite, cfg) in memo[_PLAN] and (suite, cfg) not in memo
+        if other.stream == spec.stream and (suite, cfg) in memo and memo[suite, cfg] is None
     }
     rows, body = spec.step("laws")(model, ip, tuple(group), *reads) if spec.laws else ({}, None)
     sampled = run_pass(model, cfg, spec.stream, rows, body) if rows else {}

@@ -33,7 +33,7 @@ from .dsl import ModelFile, ModelFileError, parse_model_file
 from .essential import essential_points
 from .inner import DotProduct, UnboundedSupremumError, sup_pairing
 from .scalars import parse_scalar
-from .vectors import parse_vector
+from .vectors import Vector, parse_vector
 
 
 def _load_model_file(path: str) -> ModelFile:
@@ -100,10 +100,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if all(report.clean for report in reports) else 1
 
 
+def _vector(mf: ModelFile, text: str) -> Vector:
+    """The vector text in the model's field, admitted by the model."""
+    return mf.model.admit_vector(parse_vector(text, mf.model.field))
+
+
 def _cmd_essential(args: argparse.Namespace) -> int:
     mf = _load_model_file(args.file)
     a = parse_scalar(args.a, mf.model.field)
-    x = mf.model.admit_vector(parse_vector(args.x, mf.model.field))
+    x = _vector(mf, args.x)
     print(f"E = {essential_points(mf.model, a, x)} (complete)")
     return 0
 
@@ -112,8 +117,7 @@ def _cmd_sup(args: argparse.Namespace) -> int:
     mf = _load_model_file(args.file)
     ip = mf.inner if mf.inner is not None else DotProduct()
     a = parse_scalar(args.a, mf.model.field)
-    x = mf.model.admit_vector(parse_vector(args.x, mf.model.field))
-    y = mf.model.admit_vector(parse_vector(args.y, mf.model.field))
+    x, y = _vector(mf, args.x), _vector(mf, args.y)
     try:
         result = sup_pairing(mf.model, ip, a, x, y)
     except UnboundedSupremumError:

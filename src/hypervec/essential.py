@@ -16,8 +16,9 @@ multipliers whose inverse is in M too (essential_points proves it):
     geometric(r)     {r^k : k >= 0}      {1}
     sign             {1, -1}             {1, -1}
 
-So the essential set is {a*x}, or {a*x, -a*x} for sign, and each family
-states it as family.essential(ax) next to its product family.apply.
+So the essential set is {a*x}, or {a*x, -a*x} for sign. It is
+family.essential(ax): the base class models.Family states U(M) = {1}
+once, and only sign overrides it, next to its product apply.
 essential_points returns it as a FiniteSet, the type product returns
 for a finite a o x, so it prints the same way.
 
@@ -173,7 +174,7 @@ def _lemma_basic_laws(model: ModelSpec, ip, suites: tuple[str, ...], strong: Che
 
 def check_weak_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> CheckReport:
     """Sumset reading: essential sumsets must meet the target essential set."""
-    return run_one("weak_normal", model, None, cfg or SampleConfig())
+    return run_one("weak_normal", model, None, cfg)
 
 
 def check_strong_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> CheckReport:
@@ -182,7 +183,7 @@ def check_strong_normal(model: ModelSpec, cfg: SampleConfig | None = None) -> Ch
     Every sum of essential choices must be an essential point of the
     target, and the target must hold nothing beyond those sums.
     """
-    return run_one("strong_normal", model, None, cfg or SampleConfig())
+    return run_one("strong_normal", model, None, cfg)
 
 
 def check_normal_equivalence(

@@ -270,14 +270,14 @@ def check_real_ip_axioms(
     model: ModelSpec, ip: InnerProductSpec | None, cfg: SampleConfig | None = None
 ) -> CheckReport:
     """The real sup-based inner product axioms, one verdict per item."""
-    return run_one("real_ip", model, ip, cfg or SampleConfig())
+    return run_one("real_ip", model, ip, cfg)
 
 
 def check_hip_axioms(
     model: ModelSpec, ip: InnerProductSpec | None, cfg: SampleConfig | None = None
 ) -> CheckReport:
     """The six hyperinner product axioms (real or Gaussian field)."""
-    return run_one("hip", model, ip, cfg or SampleConfig())
+    return run_one("hip", model, ip, cfg)
 
 
 def _pairing_laws(model: ModelSpec, ip: InnerProductSpec, suites: tuple[str, ...]):

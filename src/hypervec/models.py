@@ -9,12 +9,17 @@ set shapes, each a value class (checker.Value) compared by its fields:
 * GeometricRay: {base * ratio^k : k >= 0} with nonzero base and a
   positive rational ratio other than 1.
 
-Four product families are built in:
+Four product families are built in, each a Family: a value that
+multiplies the classical value a*x by a fixed set M.
 
 * trivial:        a o x = {a*x}
 * zero_augmented: a o x = {a*x, 0}
 * geometric(r):   a o x = {a*x*r^k : k >= 0} for a, x nonzero, else {0}
 * sign:           a o x = {a*x, -a*x}, over Q only
+
+Family gives each its token as str(family) and the essential set
+U(M)*(a*x) = {a*x} of U(M) = {1}; sign, with U(M) = {1, -1}, overrides
+it. Each family writes its own product, apply.
 
 check_wvs_axioms samples the five weak-space axioms on (2, 2) tuples,
 the stream the two normality readings of `essential` read too. One law
@@ -115,47 +120,56 @@ def ray(base: Vector, ratio: Fraction) -> HyperSet:
 
 
 # --- families -------------------------------------------------------------
-#
-# str(family) is its token in the model-file language, and
-# family.apply(ax, zero) is the set a o x built from the classical value
-# ax = a*x and the model's zero vector. Each family multiplies ax by a
-# fixed set M, and family.essential(ax) is the essential set U(M)*ax,
-# where U(M) holds the m in M with 1/m in M (essential.essential_points
-# holds the proof).
 
 
-class Trivial(Value):
-    """a o x = {a*x}: the classical single-valued product."""
+class Family(Value):
+    """A product family: a o x = M*ax for a fixed set M of multipliers.
+
+    str(family) is its token in the model-file language, and
+    family.apply(ax, zero) is the set a o x built from the classical
+    value ax = a*x and the model's zero vector. family.essential(ax) is
+    the essential set U(M)*ax, where U(M) holds the m in M with 1/m in M
+    (essential.essential_points holds the proof). The base states
+    U(M) = {1}, so essential(ax) is (ax,); a family with more units
+    overrides it. Each family writes its own apply: it is the hottest
+    call of every run, so no family builds its set from M element by
+    element.
+    """
 
     __slots__ = ()
+    token = ""
 
     def __str__(self):
-        return "trivial"
+        return self.token
+
+    def essential(self, ax: Vector) -> tuple[Vector, ...]:
+        return (ax,)
+
+
+class Trivial(Family):
+    """a o x = {a*x}: the classical single-valued product. M = U(M) = {1}."""
+
+    __slots__ = ()
+    token = "trivial"
 
     def apply(self, ax: Vector, zero: Vector) -> HyperSet:
         return finite([ax])
 
-    def essential(self, ax: Vector) -> tuple[Vector, ...]:
-        return (ax,)  # M = U(M) = {1}
 
-
-class ZeroAugmented(Value):
-    """a o x = {a*x, 0}: the classical product with 0 adjoined."""
+class ZeroAugmented(Family):
+    """a o x = {a*x, 0}: the classical product with 0 adjoined.
+    M = {0, 1}, U(M) = {1}."""
 
     __slots__ = ()
-
-    def __str__(self):
-        return "zero_augmented"
+    token = "zero_augmented"
 
     def apply(self, ax: Vector, zero: Vector) -> HyperSet:
         return finite([ax, zero])
 
-    def essential(self, ax: Vector) -> tuple[Vector, ...]:
-        return (ax,)  # M = {0, 1}, U(M) = {1}
 
-
-class Geometric(Value):
-    """a o x = {a*x*ratio^k : k >= 0} for nonzero a and x, else {0}."""
+class Geometric(Family):
+    """a o x = {a*x*ratio^k : k >= 0} for nonzero a and x, else {0}.
+    M = {ratio^k : k >= 0}, U(M) = {1}."""
 
     __slots__ = _fields = ("ratio",)
 
@@ -169,26 +183,18 @@ class Geometric(Value):
     def apply(self, ax: Vector, zero: Vector) -> HyperSet:
         return ray(ax, self.ratio)
 
-    def essential(self, ax: Vector) -> tuple[Vector, ...]:
-        return (ax,)  # M = {ratio^k : k >= 0}, U(M) = {1}
 
-
-class Sign(Value):
-    """a o x = {a*x, -a*x}. Defined over Q only."""
+class Sign(Family):
+    """a o x = {a*x, -a*x}. Defined over Q only. M = U(M) = {1, -1}."""
 
     __slots__ = ()
-
-    def __str__(self):
-        return "sign"
+    token = "sign"
 
     def apply(self, ax: Vector, zero: Vector) -> HyperSet:
         return finite([ax, -ax])
 
     def essential(self, ax: Vector) -> tuple[Vector, ...]:
-        return sorted_vectors((ax, -ax))  # M = U(M) = {1, -1}
-
-
-Family = Union[Trivial, ZeroAugmented, Geometric, Sign]
+        return sorted_vectors((ax, -ax))
 
 
 class ModelSpec(Value):
@@ -197,8 +203,10 @@ class ModelSpec(Value):
     __slots__ = _fields + ("_zero",)
 
     def __init__(self, field: FieldTag, dim: int, family: Family):
-        if not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+        if dim.__class__ is not int or not 1 <= dim <= MAX_DIM:  # never a bool
             raise ModelError(f"dim must be an integer from 1 to {MAX_DIM}, got {dim!r}")
+        if not isinstance(family, Family):
+            raise ModelError(f"not a product family: {family!r}")
         if isinstance(family, Sign) and field is FieldTag.QI:
             raise ModelError("the sign family is defined over Q only")
         self.field, self.dim, self.family = field, dim, family
@@ -357,21 +365,18 @@ def intersect_nonempty(s1: HyperSet, s2: HyperSet, depth: int) -> Vector | None:
 
 
 def _union(parts: list[HyperSet]) -> HyperSet:
-    """The one distinct part, or the finite set of all the parts' elements.
+    """The one part when all parts are equal, or else the finite set of
+    all the parts' elements (finite deduplicates them).
 
     Wherever product_of_set takes a finite set, every family gives a
     finite a o v (geometric's b o x is finite only as {0}), so a ray
-    among several distinct parts raises ModelError.
+    among parts that differ raises ModelError.
     """
-    distinct: list[HyperSet] = []
-    for p in parts:
-        if p not in distinct:
-            distinct.append(p)
-    if len(distinct) == 1:
-        return distinct[0]
-    if not all(isinstance(p, FiniteSet) for p in distinct):
+    if parts.count(parts[0]) == len(parts):  # count compares by identity first
+        return parts[0]
+    if not all(isinstance(p, FiniteSet) for p in parts):
         raise ModelError("union of these hyperset shapes is not representable")
-    return finite([v for p in distinct for v in p.elements])
+    return finite([v for p in parts for v in p.elements])
 
 
 def product_of_set(model: ModelSpec, a: int | Scalar, s: HyperSet) -> HyperSet:
@@ -428,7 +433,7 @@ def _classical_sum_meets(
 
 def check_wvs_axioms(model: ModelSpec, cfg: SampleConfig | None = None) -> CheckReport:
     """Sample-check the five weak-space axioms with exact verdicts."""
-    return run_one("wvs_axioms", model, None, cfg or SampleConfig())
+    return run_one("wvs_axioms", model, None, cfg)
 
 
 _READINGS = {

@@ -1,6 +1,7 @@
 """The summary of tools/abpairs.py on fixed numbers."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -53,6 +54,45 @@ def test_summary_counts_wins_in_each_metrics_direction():
 )
 def test_verdict_reads_each_metric_against_its_bound(parent, change, better, expected):
     assert abpairs.verdict(parent, change, better, 0.25) == expected
+
+
+def row(parent, change, better="lower"):
+    pairs = [({"m": p}, {"m": c}) for p, c in zip(parent, change)]
+    return abpairs.summarize(pairs, {"m": better})[0]
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, expected",
+    [
+        # won 5/5, and the medians lie 1.0 s apart, the parent's quartiles 0.2 s
+        ([3.0, 3.1, 2.9, 3.2, 3.0], [2.0, 2.1, 1.9, 2.0, 2.2], "lower", "better"),
+        ([2.0, 2.1, 1.9, 2.0, 2.2], [3.0, 3.1, 2.9, 3.2, 3.0], "lower", "worse"),
+        # won 4/5: short of nine tenths
+        ([3.0, 3.1, 2.9, 3.2, 1.0], [2.0, 2.1, 1.9, 2.0, 2.2], "lower", "within spread"),
+        # won 5/5, but by less than the parent's spread
+        ([3.0, 3.5, 2.5, 3.6, 2.4], [2.9, 3.4, 2.4, 3.5, 2.3], "lower", "within spread"),
+        # a rate, higher is better: the same numbers read the other way
+        ([2.0, 2.1, 1.9, 2.0, 2.2], [3.0, 3.1, 2.9, 3.2, 3.0], "higher", "better"),
+        ([3.0, 3.1, 2.9, 3.2, 3.0], [2.0, 2.1, 1.9, 2.0, 2.2], "higher", "worse"),
+    ],
+)
+def test_reading_takes_nine_tenths_of_pairs_and_more_than_the_spread(
+    parent, change, better, expected
+):
+    assert abpairs.reading(row(parent, change, better)) == expected
+
+
+def test_main_prints_each_metrics_reading(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25},'
+        ' {"name": "ok_ratio", "better": "higher", "bound": 0.01}]}'
+    )
+    runs = {"p": {"wall_s": 2.0, "ok_ratio": 1.0}, str(tmp_path): {"wall_s": 1.0, "ok_ratio": 1.0}}
+    monkeypatch.setattr(abpairs, "run_bench", lambda tree, *_: runs[tree])
+    assert abpairs.main(["p", str(tmp_path), "--workload", "rays", "--pairs", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2] == "reading: wall_s better, ok_ratio within spread"
+    assert json.loads(out[-1])["readings"] == {"wall_s": "better", "ok_ratio": "within spread"}
 
 
 @pytest.mark.parametrize(

@@ -128,6 +128,14 @@ class TestSampleConfig:
         with pytest.raises(ValueError):
             SampleConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["seed", "samples", "height"])
+    @pytest.mark.parametrize("value", [2.5, True, "7"])
+    def test_refuses_what_is_not_an_int(self, name, value):
+        # argparse and the parser give ints only; a caller of the API can
+        # give anything, and a bool is no count
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            SampleConfig(**{name: value})
+
 
 class TestSampleStream:
     def test_exact_count_and_determinism(self):

@@ -1,4 +1,4 @@
-"""The reading and the arguments of tools/dimsweep.py, on fixed numbers."""
+"""The output and the arguments of tools/dimsweep.py, on fixed numbers."""
 
 import importlib.util
 import os
@@ -13,27 +13,6 @@ _SPEC.loader.exec_module(dimsweep)
 REPO = os.path.join(os.path.dirname(__file__), "..")
 
 
-def row(parent, change):
-    pairs = [({"dim 64": p}, {"dim 64": c}) for p, c in zip(parent, change)]
-    return dimsweep.abpairs.summarize(pairs, {"dim 64": "lower"})[0]
-
-
-@pytest.mark.parametrize(
-    "parent, change, expected",
-    [
-        # won 5/5, and the medians lie 1.0 s apart, the parent's quartiles 0.2 s
-        ([3.0, 3.1, 2.9, 3.2, 3.0], [2.0, 2.1, 1.9, 2.0, 2.2], "faster"),
-        ([2.0, 2.1, 1.9, 2.0, 2.2], [3.0, 3.1, 2.9, 3.2, 3.0], "slower"),
-        # won 4/5: short of nine tenths
-        ([3.0, 3.1, 2.9, 3.2, 1.0], [2.0, 2.1, 1.9, 2.0, 2.2], "within spread"),
-        # won 5/5, but by less than the parent's spread
-        ([3.0, 3.5, 2.5, 3.6, 2.4], [2.9, 3.4, 2.4, 3.5, 2.3], "within spread"),
-    ],
-)
-def test_reading_takes_nine_tenths_of_pairs_and_more_than_the_spread(parent, change, expected):
-    assert dimsweep.reading(row(parent, change)) == expected
-
-
 def test_sweep_prints_one_row_per_dimension(monkeypatch, capsys):
     times = {"p": [1.0, 3.0], "c": [1.0, 2.0]}
     monkeypatch.setattr(dimsweep, "run_tree", lambda tree, dims: times[os.path.basename(tree)])
@@ -42,7 +21,7 @@ def test_sweep_prints_one_row_per_dimension(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[2].startswith("dim 2") and lines[2].endswith("0/2")
     assert lines[3].startswith("dim 64") and lines[3].endswith("2/2")
-    assert lines[4] == "reading: dim 2 within spread, dim 64 faster"
+    assert lines[4] == "reading: dim 2 within spread, dim 64 better"
 
 
 @pytest.mark.parametrize(

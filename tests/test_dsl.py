@@ -98,6 +98,8 @@ INVALID_EXPECTATIONS = {
     "i18_dim_over_cap": (1, 25, "dimension must be at most 64"),
     "i19_samples_over_cap": (2, 19, "samples must be at most 100000"),
     "i20_unknown_inner": (1, 49, "unknown inner product 'cosine'"),
+    "i21_unknown_family": (1, 35, "unknown product family 'frobnicate'"),
+    "i22_negative_denominator": (1, 47, "denominator must be positive"),
 }
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypervec import models
 from hypervec.checker import SampleConfig, render_json, report_document, run_suites, sample_stream
 from hypervec.models import (
+    Family,
     FiniteSet,
     Geometric,
     GeometricRay,
@@ -293,6 +294,20 @@ class TestModelSpec:
             ModelSpec(FieldTag.QI, 2, Sign())
         with pytest.raises(ModelError):
             ModelSpec(FieldTag.Q, 2, Geometric(F(1)))
+
+    def test_refuses_a_family_that_is_not_one_and_a_bool_dim(self):
+        # the parser never builds these; a caller of the API can
+        with pytest.raises(ModelError, match="not a product family: 'trivial'"):
+            ModelSpec(FieldTag.Q, 2, "trivial")
+        for dim in (True, False):
+            with pytest.raises(ModelError, match="dim must be"):
+                ModelSpec(FieldTag.Q, dim, Trivial())
+
+    def test_every_family_is_a_family_shown_by_its_token(self):
+        assert all(isinstance(family, Family) for family in ALL_FAMILIES)
+        assert [str(family) for family in ALL_FAMILIES] == [
+            "trivial", "zero_augmented", "geometric(1/2)", "geometric(2)", "sign"
+        ]
 
     def test_admit(self):
         m = mk(Trivial())

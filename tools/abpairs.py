@@ -17,8 +17,9 @@ bench/run.py writes, in each tree's own .bench_out/.
 For every end-to-end metric of the change's BENCHMARK.json it prints the
 median and the quartiles of each side and the number of pairs the change
 won (strictly better, in the metric's direction), then the metric's
-no-regression verdict against its bound (see verdict), then one JSON
-line with every run's values and the verdicts. The exit code is 1 when a run fails or prints
+no-regression verdict against its bound (see verdict), then its gain
+reading (see reading), then one JSON line with every run's values, the
+verdicts and the readings. The exit code is 1 when a run fails or prints
 `correct: false`, 2 on bad arguments, and 0 otherwise. Stdlib only.
 """
 
@@ -86,6 +87,23 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return "ok"
 
 
+def reading(row: dict) -> str:
+    """The gain reading of one summarize row, in its metric's direction
+    (row["better"]): "better" when the change won at least nine tenths
+    of the pairs and its median beats the parent's by more than the
+    parent's q3 - q1, "worse" when the same holds the other way, else
+    "within spread"."""
+    sign = 1 if row["better"] == "higher" else -1
+    (p_q1, p_median, p_q3), median = row["parent"], row["change"][1]
+    spread, lost = p_q3 - p_q1, row["pairs"] - row["won"]
+    gain = sign * (median - p_median)
+    if 10 * row["won"] >= 9 * row["pairs"] and gain > spread:
+        return "better"
+    if 10 * lost >= 9 * row["pairs"] and -gain > spread:
+        return "worse"
+    return "within spread"
+
+
 def format_rows(rows: list[dict]) -> str:
     def side(q):
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
@@ -148,14 +166,22 @@ def main(argv: list[str]) -> int:
         )
         pairs.append((runs["parent"], runs["change"]))
     print(f"{args.workload}: {args.pairs} pairs, --seconds {args.seconds:g}")
-    print(format_rows(summarize(pairs, better)))
+    rows = summarize(pairs, better)
+    print(format_rows(rows))
     verdicts = {}
     for m in metrics:
         name = m["name"]
         parent, change = [p[name] for p, _ in pairs], [c[name] for _, c in pairs]
         verdicts[name] = verdict(parent, change, m["better"], m["bound"])
     print("verdict: " + ", ".join(f"{name} {v}" for name, v in verdicts.items()))
-    doc = {"workload": args.workload, "pairs": [list(p) for p in pairs], "verdicts": verdicts}
+    readings = {row["metric"]: reading(row) for row in rows}
+    print("reading: " + ", ".join(f"{name} {r}" for name, r in readings.items()))
+    doc = {
+        "workload": args.workload,
+        "pairs": [list(p) for p in pairs],
+        "verdicts": verdicts,
+        "readings": readings,
+    }
     print(json.dumps(doc))
     return 0
 

@@ -14,10 +14,11 @@ its process a tree runs every suite on the five catalog families
 default config, and measures the process CPU time of each dimension.
 
 It prints, per dimension, each side's median and quartiles and the pairs
-the change won (abpairs.summarize), then its reading (see reading), then
-one JSON line with every run's times. The exit code is 1 when a run
-fails, 2 with the usage on bad arguments, and 0 otherwise. Nothing is
-written into either tree. Stdlib only.
+the change won (abpairs.summarize), then its reading (abpairs.reading:
+better, worse or within spread), then one JSON line with every run's
+times. The exit code is 1 when a run fails, 2 with the usage on bad
+arguments, and 0 otherwise. Nothing is written into either tree. Stdlib
+only.
 """
 
 from __future__ import annotations
@@ -66,19 +67,6 @@ def parse_dims(text: str) -> list[int]:
     if not all(1 <= dim <= MAX_DIM for dim in dims):
         raise argparse.ArgumentTypeError(f"each dimension must be from 1 to {MAX_DIM}")
     return dims
-
-
-def reading(row: dict) -> str:
-    """"faster" when the change won at least nine tenths of the pairs and
-    its median beats the parent's by more than the parent's q3 - q1,
-    "slower" when the same holds the other way, else "within spread"."""
-    (p_q1, p_median, p_q3), median = row["parent"], row["change"][1]
-    spread, lost = p_q3 - p_q1, row["pairs"] - row["won"]
-    if 10 * row["won"] >= 9 * row["pairs"] and p_median - median > spread:
-        return "faster"
-    if 10 * lost >= 9 * row["pairs"] and median - p_median > spread:
-        return "slower"
-    return "within spread"
 
 
 def run_tree(tree: str, dims: list[int]) -> list[float] | None:
@@ -130,7 +118,7 @@ def main(argv: list[str]) -> int:
     rows = abpairs.summarize(pairs, dict.fromkeys(names, "lower"))
     print(f"catalog CPU seconds per dimension: {args.pairs} pairs")
     print(abpairs.format_rows(rows))
-    readings = {row["metric"]: reading(row) for row in rows}
+    readings = {row["metric"]: abpairs.reading(row) for row in rows}
     print("reading: " + ", ".join(f"{name} {r}" for name, r in readings.items()))
     print(json.dumps({"dims": args.dims, "pairs": [list(p) for p in pairs], "readings": readings}))
     return 0

@@ -56,7 +56,8 @@ FLAG_CASES = (
 # essential runs take equal and unequal denominators and a scalar that
 # does not parse (exit 2); the sup runs are attained, not attained and
 # unbounded; the last essential run exits 2 on a vector of the wrong
-# dimension.
+# dimension, and the last two sup runs exit 2 on the field Q[i] and on
+# a --y of the wrong dimension.
 COMMAND_CASES = (
     (None, (), "catalog"),
     ("v05_sign.hvs", ("--a", "3", "--x", "(1, 2)"), "essential"),
@@ -68,6 +69,8 @@ COMMAND_CASES = (
     ("v04_geometric_integer.hvs", ("--a", "1", "--x", "(1, 0)", "--y", "(1, 0)"), "sup"),
     ("v06_weighted.hvs", ("--a", "2", "--x", "(1, 2, 3)", "--y", "(1, 0, 1)"), "sup"),
     ("v05_sign.hvs", ("--a", "3", "--x", "(1, 2, 3)"), "essential"),
+    ("v11_qi_inner.hvs", ("--a", "1", "--x", "(1, i)", "--y", "(1, 0)"), "sup"),
+    ("v06_weighted.hvs", ("--a", "2", "--x", "(1, 2, 3)", "--y", "(1, 0)"), "sup"),
 )
 USAGE = "usage: python3 tools/samebytes.py PARENT CHANGE"
 
