@@ -94,8 +94,11 @@ class Suite(NamedTuple):
         return getattr(module, getattr(self, field))
 
 
-# wvs_axioms and the two normality readings: one stream, one builder
+# the suites of one stream share one module, builder and reads: wvs_axioms
+# and the two normality readings, real_ip and hip, lemma_34 and norm_props
 _SUM_SUITE = Suite("models", (), (2, 2), "_sum_laws")
+_PAIRING_SUITE = Suite("inner", (), (1, 3), "_pairing_laws")
+_NORM_SUITE = Suite("inner", ("hip",), (1, 2), "_norm_laws")
 
 SUITES = {
     "wvs_axioms": _SUM_SUITE,
@@ -103,11 +106,9 @@ SUITES = {
     "weak_normal": _SUM_SUITE,
     "strong_normal": _SUM_SUITE,
     "normal_equiv": Suite("essential", ("weak_normal", "strong_normal"), finish="_equivalence"),
-    "real_ip": Suite("inner", (), (1, 3), "_pairing_laws", rows="_REAL_IP_ITEMS"),
-    "hip": Suite("inner", (), (1, 3), "_pairing_laws", rows="_HIP_ITEMS"),
-    "lemma_34": Suite(
-        "inner", ("hip",), (1, 2), "_norm_laws", "_lemma_34_items", "_LEMMA_34_ITEMS"
-    ),
+    "real_ip": _PAIRING_SUITE._replace(rows="_REAL_IP_ITEMS"),
+    "hip": _PAIRING_SUITE._replace(rows="_HIP_ITEMS"),
+    "lemma_34": _NORM_SUITE._replace(finish="_lemma_34_items", rows="_LEMMA_34_ITEMS"),
     "theorem_normal": Suite(
         "inner",
         ("hip", "strong_normal"),
@@ -116,7 +117,7 @@ SUITES = {
         "_theorem_items",
         "_THEOREM_ITEMS",
     ),
-    "norm_props": Suite("inner", ("hip",), (1, 2), "_norm_laws", "_norm_items", "_NORM_ITEMS"),
+    "norm_props": _NORM_SUITE._replace(finish="_norm_items", rows="_NORM_ITEMS"),
 }
 
 # Suite vocabulary; also the identifiers accepted by `check` directives.
@@ -341,31 +342,27 @@ class ItemCheck:
     > fail > pass.
 
     Each kind, ordinary and unbounded, keeps its first MAX_WITNESSES
-    distinct witnesses, deduplicated on their text in one set: no suite
-    gives an ordinary and an unbounded witness the same relation. A kind
-    that holds that many renders no further witness: none of them could
-    be reported.
+    distinct witnesses in one map of its own, keyed on their text
+    (bindings and relation) in the order they came. A kind that holds
+    that many renders no further witness: none of them could be
+    reported.
     """
 
     def __init__(self, item_id: str, anchor: str):
         self.id = item_id
         self.anchor = anchor
         self.samples = 0
-        self._witnesses: list[Witness] = []
-        self._unbounded: list[Witness] = []
-        self._seen: set[tuple] = set()
+        self._witnesses: dict[tuple, Witness] = {}
+        self._unbounded: dict[tuple, Witness] = {}
 
     def sample(self, outcome: Witness | list[Witness]):
         self.samples += 1
         for witness in (outcome,) if isinstance(outcome, Witness) else outcome:
             into = self._unbounded if witness.__class__ is Unbounded else self._witnesses
-            if len(into) == MAX_WITNESSES:
-                continue
-            # distinct sample tuples can reproduce the same violation; keep one
-            key = (tuple(sorted(witness.bindings.items())), witness.relation)
-            if key not in self._seen:
-                self._seen.add(key)
-                into.append(witness)
+            if len(into) < MAX_WITNESSES:
+                # distinct sample tuples can reproduce the same violation; keep one
+                key = (tuple(sorted(witness.bindings.items())), witness.relation)
+                into.setdefault(key, witness)
 
     def finish(self) -> CheckItem:
         # a tuple that failed was sampled, so no samples means no witnesses
@@ -375,7 +372,7 @@ class ItemCheck:
             else "pass" if self.samples
             else "vacuous"
         )
-        witnesses = self._unbounded or self._witnesses
+        witnesses = list((self._unbounded or self._witnesses).values())
         return CheckItem(self.id, self.anchor, status, self.samples, witnesses)
 
 

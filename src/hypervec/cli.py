@@ -19,7 +19,7 @@ import argparse
 import sys
 from typing import IO
 
-from .catalog import CATALOG_NOTES, EXPECTED_VERDICTS, catalog_models
+from .catalog import CATALOG_NOTES, EXPECTED_VERDICTS
 from .checker import (
     CheckReport,
     SUITE_NAMES,
@@ -115,7 +115,7 @@ def _cmd_essential(args: argparse.Namespace) -> int:
 
 def _cmd_sup(args: argparse.Namespace) -> int:
     mf = _load_model_file(args.file)
-    ip = mf.inner if mf.inner is not None else DotProduct()
+    ip = mf.inner or DotProduct()
     a = parse_scalar(args.a, mf.model.field)
     x, y = _vector(mf, args.x), _vector(mf, args.y)
     try:
@@ -131,22 +131,14 @@ def _cmd_sup(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(_args: argparse.Namespace) -> int:
-    names = [name for name, _ in catalog_models()]
-    left_width = max(len(s) for s in SUITE_NAMES) + 2
-    col_widths = [
-        max(len(name), *(len(EXPECTED_VERDICTS[name][s]) for s in SUITE_NAMES)) + 2
-        for name in names
+    names = list(EXPECTED_VERDICTS)  # in the catalog's order
+    rows = [["suite", *names]] + [
+        [suite, *(EXPECTED_VERDICTS[name][suite] for name in names)] for suite in SUITE_NAMES
     ]
-    header = "suite".ljust(left_width) + "".join(
-        name.ljust(w) for name, w in zip(names, col_widths)
-    )
-    print(header.rstrip())
-    for suite in SUITE_NAMES:
-        row = suite.ljust(left_width) + "".join(
-            EXPECTED_VERDICTS[name][suite].ljust(w)
-            for name, w in zip(names, col_widths)
-        )
-        print(row.rstrip())
+    # each column as wide as its longest cell and two spaces more
+    widths = [max(map(len, column)) + 2 for column in zip(*rows)]
+    for row in rows:
+        print("".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     print()
     print("notes:")
     for name in names:

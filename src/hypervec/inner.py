@@ -17,8 +17,12 @@ real_ip and hip, the two readings of the inner-product axioms, read the
 same (1, 3) sample tuples, and one law builder (_pairing_laws) decides
 the readings a run plans on each tuple, so (x,x), (x+y,z), (x,z)+(y,z),
 (x,y), (y,x), a*(x,y), E[a o x] and each (e,y) over it are computed
-once. lemma_34 and norm_props share (x,y), nsq(x), abs2(a)*nsq(x) and
-a o x on their (1, 2) tuples the same way (_norm_laws). The builders
+once. The four axioms both state (positive, definite, additive and
+symmetry) are decided once too: real_ip runs over Q only, where (x,x)
+is real and conj is the identity, so one predicate serves both, and
+the readings differ only in their words (_SHARED_AXIOM_WORDS).
+lemma_34 and norm_props share (x,y), nsq(x), abs2(a)*nsq(x) and a o x
+on their (1, 2) tuples the same way (_norm_laws). The builders
 hold the suites' preconditions, and the finish steps (*_items) their
 summary items and vacuous rules (see checker.Suite).
 """
@@ -47,6 +51,7 @@ from .models import (
     ModelError,
     ModelSpec,
     product,
+    rational,
 )
 from .scalars import (
     FieldTag,
@@ -90,7 +95,7 @@ class WeightedDot(Value):
     def __init__(self, weights: tuple[Fraction, ...]):
         if not weights:
             raise ModelError("weighted_dot needs at least one weight")
-        self.weights = tuple(Fraction(w) for w in weights)
+        self.weights = tuple(rational("weight", w) for w in weights)
         if any(w <= 0 for w in self.weights):
             raise ModelError("weights must be positive")
         self.den = den = lcm(*(w.denominator for w in self.weights))
@@ -280,49 +285,52 @@ def check_hip_axioms(
     return run_one("hip", model, ip, cfg)
 
 
+# The words in which real_ip and hip state the four axioms _pairing_laws
+# decides once for both: what (x,x) must be, the symmetry law and what
+# (y,x) must equal.
+_SHARED_AXIOM_WORDS = {
+    "real_ip": ("positive", "symmetric", "(x,y)"),
+    "hip": ("real positive", "conjugate_symmetric", "conj((x,y))"),
+}
+
+
 def _pairing_laws(model: ModelSpec, ip: InnerProductSpec, suites: tuple[str, ...]):
     """The law set of real_ip and hip, those of them in suites, on one
     (1, 3) tuple (see checker.Suite). Both read the same pairings, each
-    computed once; real_ip is left out over Q[i], where it is vacuous.
+    computed once, and each axiom they share is decided once and yielded
+    in the words of every planned reading; real_ip is left out over
+    Q[i], where it is vacuous.
     """
     real = "real_ip" in suites and model.field is FieldTag.Q
     hip = "hip" in suites
+    items = {"real_ip": _REAL_IP_ITEMS, "hip": _HIP_ITEMS}
+    rows = {suite: items[suite] for suite in suites if suite != "real_ip" or real}
 
     def laws(a, x, y, z):
         xx = pairing(ip, x, x)  # a Fraction over Q, where real_ip runs
-        if not x.is_zero:
-            if real:
-                yield ("real_ip", "positive"), xx <= 0 and Witness(
-                    {"x": x, "(x,x)": xx}, "(x,x) is not positive for nonzero x"
-                )
-            if hip:
-                positive = imag_part(xx) == 0 and real_part(xx) > 0
-                yield ("hip", "positive"), not positive and Witness(
-                    {"x": x, "(x,x)": xx}, "(x,x) is not real positive for nonzero x"
-                )
+        positive = x.is_zero or (imag_part(xx) == 0 and real_part(xx) > 0)  # asked of x != 0
         definite = (xx == 0) != x.is_zero and Witness(
             {"x": x, "(x,x)": xx}, "(x,x) = 0 does not characterize x = 0"
         )
         lhs = pairing(ip, x + y, z)
         rhs = pairing(ip, x, z) + pairing(ip, y, z)
         xy, yx = pairing(ip, x, y), pairing(ip, y, x)
+        symmetric = yx == conjugate(xy)
         expected = a * xy
-        if real:
-            yield ("real_ip", "definite"), definite
-            yield ("real_ip", "additive"), lhs != rhs and Witness(
-                {"x": x, "y": y, "z": z, "(x+y,z)": lhs, "(x,z)+(y,z)": rhs},
+        for suite in rows:
+            positivity, symmetry, mirror = _SHARED_AXIOM_WORDS[suite]
+            if not x.is_zero:
+                yield (suite, "positive"), not positive and Witness(
+                    {"x": x, "(x,x)": xx}, f"(x,x) is not {positivity} for nonzero x"
+                )
+            yield (suite, "definite"), definite
+            yield (suite, "additive"), lhs != rhs and Witness(
+                {"x": x, "y": y, "z": z}
+                | ({"(x+y,z)": lhs, "(x,z)+(y,z)": rhs} if suite == "real_ip" else {}),
                 "additivity in the first slot fails",
             )
-            yield ("real_ip", "symmetric"), yx != xy and Witness(
-                {"x": x, "y": y}, "(y,x) differs from (x,y)"
-            )
-        if hip:
-            yield ("hip", "definite"), definite
-            yield ("hip", "additive"), lhs != rhs and Witness(
-                {"x": x, "y": y, "z": z}, "additivity in the first slot fails"
-            )
-            yield ("hip", "conjugate_symmetric"), yx != conjugate(xy) and Witness(
-                {"x": x, "y": y}, "(y,x) differs from conj((x,y))"
+            yield (suite, symmetry), not symmetric and Witness(
+                {"x": x, "y": y}, f"(y,x) differs from {mirror}"
             )
 
         attains = False  # real_ip asks whether an essential point attains the sup
@@ -366,8 +374,7 @@ def _pairing_laws(model: ModelSpec, ip: InnerProductSpec, suites: tuple[str, ...
                 "element of 1 o x exceeds the length of x",
             )
 
-    rows = {"real_ip": _REAL_IP_ITEMS, "hip": _HIP_ITEMS}
-    return {suite: rows[suite] for suite in suites if suite != "real_ip" or real}, laws
+    return rows, laws
 
 
 def check_lemma_34(

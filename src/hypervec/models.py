@@ -46,6 +46,15 @@ class ModelError(ValueError):
     """Bad model parameter, field/dimension mismatch, or unsupported shape."""
 
 
+def rational(name: str, value: int | Fraction) -> Fraction:
+    """value as a Fraction, a ModelError unless its class is int or
+    Fraction: a float, bool or str from an API caller is refused, never
+    read as the binary fraction or text it stands for."""
+    if value.__class__ not in (int, Fraction):
+        raise ModelError(f"{name} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 # The largest dimension a model admits, so that a model file cannot ask
 # for vectors whose size grows with the value of a number.
 MAX_DIM = 64
@@ -173,8 +182,8 @@ class Geometric(Family):
 
     __slots__ = _fields = ("ratio",)
 
-    def __init__(self, ratio: Fraction):
-        self.ratio = Fraction(ratio)
+    def __init__(self, ratio: int | Fraction):
+        self.ratio = rational("ratio", ratio)
         _validate_ratio(self.ratio)
 
     def __str__(self):

@@ -515,6 +515,14 @@ class TestCatalogCommand:
         assert "unbounded" in out
         assert "readings disagree" in out
 
+    def test_table_matches_golden(self, capsys):
+        assert main(["catalog"]) == 0
+        out = capsys.readouterr().out
+        golden = GOLDEN / "catalog.txt"
+        if os.environ.get("REGEN_GOLDEN"):
+            golden.write_text(out, encoding="utf-8")
+        assert out == golden.read_text(encoding="utf-8")
+
 
 class TestEntryPoints:
     def test_console_script_installed(self, capsys):

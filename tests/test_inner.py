@@ -95,6 +95,15 @@ class TestPairing:
         with pytest.raises(ModelError):
             pairing(WeightedDot((F(1),)), qv(1, 2), qv(1, 2))
 
+    @pytest.mark.parametrize("weight", [0.1, True, "1/2"], ids=repr)
+    def test_weights_are_ints_or_fractions(self, weight):
+        # the parser gives ints and Fractions only; a caller of the API can
+        # give these, and 0.1 must not be read as the binary fraction it stores
+        refused = f"weight must be an int or a Fraction, got {weight!r}"
+        with pytest.raises(ModelError, match=refused):
+            WeightedDot((F(1), weight))
+        assert WeightedDot((2, F(1, 3))).describe() == "weighted_dot(2, 1/3)"
+
     @pytest.mark.parametrize("field", [FieldTag.Q, FieldTag.QI], ids=str)
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_dot_is_unit_weighted_dot(self, field, dim):
@@ -358,6 +367,64 @@ class TestHipSuite:
         # a nondegenerate witness: the pairing itself is nonzero
         assert w["a*(x,y)"] != "0"
         assert report.item("unit_ball_bound").status == "pass"
+
+
+# The first witness of each of the four axioms real_ip and hip both state,
+# under a pairing that breaks every one of them: (x, y) = x1*(y1 + 1) - 1.
+# Over the 30 tuples of the forced prefix x is nonzero in 18; the
+# witnesses of one law that repeat are kept once.
+_BROKEN_AXIOMS = {
+    "real_ip": {
+        "positive": (18, 1, ["x", "(x,x)"], "(x,x) is not positive for nonzero x"),
+        "definite": (30, 1, ["x", "(x,x)"], "(x,x) = 0 does not characterize x = 0"),
+        "additive": (
+            30, 5, ["x", "y", "z", "(x+y,z)", "(x,z)+(y,z)"], "additivity in the first slot fails"
+        ),
+        "symmetric": (30, 5, ["x", "y"], "(y,x) differs from (x,y)"),
+    },
+    "hip": {
+        "positive": (18, 1, ["x", "(x,x)"], "(x,x) is not real positive for nonzero x"),
+        "definite": (30, 1, ["x", "(x,x)"], "(x,x) = 0 does not characterize x = 0"),
+        "additive": (30, 5, ["x", "y", "z"], "additivity in the first slot fails"),
+        "conjugate_symmetric": (30, 5, ["x", "y"], "(y,x) differs from conj((x,y))"),
+    },
+}
+
+
+class TestSharedAxiomFailures:
+    """The fail paths of positive, definite, additive and symmetry in both
+    readings: no pairing the language accepts reaches them."""
+
+    @pytest.mark.parametrize("suites", [["real_ip"], ["hip"], ["real_ip", "hip"]], ids="+".join)
+    def test_every_shared_axiom_fails_in_each_reading(self, suites, monkeypatch):
+        monkeypatch.setattr(inner, "pairing", lambda ip, x, y: x.coords[0] * (y.coords[0] + 1) - 1)
+        reports = run_suites(mk(Trivial()), DOT, SampleConfig(samples=30), suites)
+        assert [report.suite for report in reports] == suites
+        for report in reports:
+            for item_id, (samples, kept, names, relation) in _BROKEN_AXIOMS[report.suite].items():
+                item = report.item(item_id)
+                assert (item.status, item.samples, len(item.witnesses)) == ("fail", samples, kept)
+                first = item.witnesses[0]
+                assert (list(first.bindings), first.relation) == (names, relation), item_id
+
+    def test_hip_positive_fails_on_a_length_with_an_imaginary_part(self, monkeypatch):
+        # (x, y) = i*x1*conj(y1), so (e1, e1) = i: not real
+        monkeypatch.setattr(
+            inner, "pairing", lambda ip, x, y: G(0, 1) * x.coords[0] * conjugate(y.coords[0])
+        )
+        model = mk(Trivial(), field=FieldTag.QI)
+        rows, laws = inner._pairing_laws(model, DOT, ("real_ip", "hip"))
+        assert list(rows) == ["hip"]  # real_ip is vacuous over Q[i]
+        e1 = unit_vector(FieldTag.QI, 2)
+        decided = {}
+        # the unit ball bound cannot compare against a length that is not real
+        with pytest.raises(ValueError, match="is not real"):
+            for key, outcome in laws(G(1), e1, e1, e1):
+                decided[key] = outcome
+        witness = decided["hip", "positive"]
+        assert (witness.bindings, witness.relation) == (
+            {"x": "(1, 0)", "(x,x)": "i"}, "(x,x) is not real positive for nonzero x"
+        )
 
 
 class TestLemma34Suite:

@@ -303,6 +303,15 @@ class TestModelSpec:
             with pytest.raises(ModelError, match="dim must be"):
                 ModelSpec(FieldTag.Q, dim, Trivial())
 
+    @pytest.mark.parametrize("ratio", [0.5, False, "1/2"], ids=repr)
+    def test_geometric_refuses_a_ratio_that_is_not_an_int_or_a_fraction(self, ratio):
+        # the parser gives ints and Fractions only; a caller of the API can
+        # give these, and 0.5 must not be read as the binary fraction it stores
+        with pytest.raises(ModelError, match=f"ratio must be an int or a Fraction, got {ratio!r}"):
+            Geometric(ratio)
+        assert str(Geometric(2)) == "geometric(2)"
+        assert str(Geometric(F(1, 2))) == "geometric(1/2)"
+
     def test_every_family_is_a_family_shown_by_its_token(self):
         assert all(isinstance(family, Family) for family in ALL_FAMILIES)
         assert [str(family) for family in ALL_FAMILIES] == [
